@@ -51,7 +51,7 @@ func main() {
 	gop := flag.Int("gop", 0, "I-frame interval (default: one second)")
 	qscale := flag.Int("qscale", 4, "codec quantiser scale (1..31)")
 	threshold := flag.Float64("threshold", 0.10, "scene-change threshold (fraction of full scale)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "annotation pipeline workers (<=1 = sequential)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "annotation pipeline and encode workers (<=1 = sequential)")
 	storeDir := flag.String("store-dir", "", "also write the annotation track into this persistent artifact store (pre-warms a server's -store-dir)")
 	y4mOut := flag.String("y4m", "", "also export the raw clip as YUV4MPEG2 to this path (viewable with mpv/ffplay)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address while annotating")
@@ -133,14 +133,12 @@ func main() {
 	if gopLen <= 0 {
 		gopLen = src.FPS()
 	}
-	enc, err := codec.NewEncoder(width, height, gopLen, *qscale)
-	exitOn(err)
-
 	encSpan := obs.StartSpan(ctx, "annotate.encode")
+	frames, err := codec.EncodeGOPs(ctx, width, height, gopLen, *qscale,
+		src.TotalFrames(), *workers, src.Frame)
+	exitOn(err)
 	var bytes int
-	for i := 0; i < src.TotalFrames(); i++ {
-		ef, err := enc.Encode(src.Frame(i))
-		exitOn(err)
+	for _, ef := range frames {
 		exitOn(cw.WriteFrame(ef))
 		bytes += ef.Size()
 	}

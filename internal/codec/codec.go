@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/frame"
 )
@@ -56,6 +57,15 @@ type Encoder struct {
 	QScale int
 	ref    *Picture // last reconstructed picture (closed loop)
 	count  int
+
+	// Buffers reused across frames so that steady-state encoding does
+	// not allocate pictures: the converted input, the picture the next
+	// reconstruction is written into, and the edge-extended copies of
+	// the current and reference planes that P-frame coding reads.
+	cur    *Picture
+	spare  *Picture
+	curPad [3]paddedPlane
+	refPad [3]paddedPlane
 }
 
 // NewEncoder returns an encoder for w×h frames with an I-frame every gop
@@ -76,7 +86,11 @@ func (e *Encoder) Encode(f *frame.Frame) (*EncodedFrame, error) {
 		return nil, fmt.Errorf("codec: frame %dx%d does not match encoder %dx%d",
 			f.W, f.H, e.W, e.H)
 	}
-	pic := FromFrame(f)
+	if e.cur == nil {
+		e.cur = NewPicture(e.W, e.H)
+	}
+	pic := e.cur
+	pic.fromFrame(f)
 	ft := PFrame
 	if e.count%e.GOP == 0 || e.ref == nil {
 		ft = IFrame
@@ -84,16 +98,33 @@ func (e *Encoder) Encode(f *frame.Frame) (*EncodedFrame, error) {
 	e.count++
 
 	w := &BitWriter{}
-	recon := NewPicture(e.W, e.H)
+	// Every sample of recon is overwritten below, so the picture the
+	// previous reference used is recycled.
+	recon := e.spare
+	if recon == nil {
+		recon = NewPicture(e.W, e.H)
+	}
 	if ft == IFrame {
 		encodeIntraPlane(w, pic.Y, recon.Y, e.QScale)
 		encodeIntraPlane(w, pic.Cb, recon.Cb, e.QScale)
 		encodeIntraPlane(w, pic.Cr, recon.Cr, e.QScale)
 	} else {
-		encodePredicted(w, pic, e.ref, recon, e.QScale)
+		cp, rp := pic.planes(), e.ref.planes()
+		for i := range cp {
+			e.curPad[i].fill(cp[i])
+			e.refPad[i].fill(rp[i])
+		}
+		encodePredicted(w, &e.curPad, &e.refPad, recon, e.QScale)
 	}
-	e.ref = recon
+	e.spare, e.ref = e.ref, recon
 	return &EncodedFrame{Type: ft, QScale: e.QScale, Data: w.Bytes()}, nil
+}
+
+// reset restarts the sequence: the next frame is an I-frame, and
+// nothing of the frames before it is read again.
+func (e *Encoder) reset() {
+	e.count = 0
+	e.spare, e.ref = e.ref, nil
 }
 
 // Decoder decompresses a frame sequence produced by Encoder.
@@ -214,33 +245,40 @@ func halfPelSample(p *Plane, hx, hy int) int {
 	}
 }
 
-func encodePredicted(w *BitWriter, cur, ref, rec *Picture, qscale int) {
-	for my := 0; my < cur.Y.H; my += MBSize {
-		for mx := 0; mx < cur.Y.W; mx += MBSize {
+// encodePredicted codes cur as a P frame against ref. Both are the
+// edge-extended copies of the three planes (Y, Cb, Cr), so every read
+// the motion search and the residual prediction make is a plain
+// strided access that returns what Plane.At would clamp to.
+func encodePredicted(w *BitWriter, cur, ref *[3]paddedPlane, rec *Picture, qscale int) {
+	for my := 0; my < rec.Y.H; my += MBSize {
+		for mx := 0; mx < rec.Y.W; mx += MBSize {
 			// Skip decision first: a static macroblock costs one SAD,
 			// not a full motion search.
-			if sadZero := mbSAD(cur.Y, ref.Y, mx, my, 0, 0); sadZero < skipSADThreshold {
+			sadZero := sadFullPel(&cur[0], &ref[0], mx, my, 0, 0, 0, math.MaxInt)
+			if sadZero < skipSADThreshold {
 				w.WriteBit(1) // skip
-				copyMB(rec, ref, mx, my)
+				ref[0].copyTile(rec.Y, mx, my, MBSize)
+				ref[1].copyTile(rec.Cb, mx/2, my/2, MBSize/2)
+				ref[2].copyTile(rec.Cr, mx/2, my/2, MBSize/2)
 				continue
 			}
-			mv := searchMotion(cur.Y, ref.Y, mx, my)
+			mv := searchMotion(&cur[0], &ref[0], mx, my, sadZero)
 			w.WriteBit(0)
 			w.WriteSE(int32(mv.X))
 			w.WriteSE(int32(mv.Y))
 			// Luma: four 8×8 residual blocks.
 			for dy := 0; dy < MBSize; dy += BlockSize {
 				for dx := 0; dx < MBSize; dx += BlockSize {
-					codeResidualBlock(w, cur.Y, ref.Y, rec.Y,
+					codeResidualBlock(w, &cur[0], &ref[0], rec.Y,
 						mx+dx, my+dy, mv.X, mv.Y, qscale)
 				}
 			}
 			// Chroma: one 8×8 block per component at half resolution;
 			// the luma half-pel vector becomes a chroma half-pel vector
 			// of half the magnitude.
-			codeResidualBlock(w, cur.Cb, ref.Cb, rec.Cb,
+			codeResidualBlock(w, &cur[1], &ref[1], rec.Cb,
 				mx/2, my/2, mv.X/2, mv.Y/2, qscale)
-			codeResidualBlock(w, cur.Cr, ref.Cr, rec.Cr,
+			codeResidualBlock(w, &cur[2], &ref[2], rec.Cr,
 				mx/2, my/2, mv.X/2, mv.Y/2, qscale)
 		}
 	}
@@ -291,20 +329,23 @@ func decodePredicted(r *BitReader, pic, ref *Picture, qscale int) error {
 
 // searchMotion finds the motion vector minimising luma SAD at (mx,my):
 // an exhaustive full-pel search over ±SearchRange followed by a half-pel
-// refinement of the winner's eight neighbours. It returns the best
-// half-pel vector.
-func searchMotion(cur, ref *Plane, mx, my int) motionVector {
+// refinement of the winner's eight neighbours. sadZero is the SAD of the
+// zero vector. It returns the best half-pel vector.
+//
+// Each candidate's sum starts at its vector-length bias and stops once
+// it reaches the best so far; a stopped candidate could only have lost
+// the strict comparison, so the early exit never changes the winner.
+func searchMotion(cur, ref *paddedPlane, mx, my, sadZero int) motionVector {
 	bestFull := motionVector{}
-	bestSAD := mbSAD(cur, ref, mx, my, 0, 0)
+	bestSAD := sadZero
 	for vy := -SearchRange; vy <= SearchRange; vy++ {
 		for vx := -SearchRange; vx <= SearchRange; vx++ {
 			if vx == 0 && vy == 0 {
 				continue
 			}
-			s := mbSAD(cur, ref, mx, my, vx, vy)
 			// Bias toward shorter vectors to stabilise the field.
-			s += 4 * (absInt(vx) + absInt(vy))
-			if s < bestSAD {
+			bias := 4 * (absInt(vx) + absInt(vy))
+			if s := sadFullPel(cur, ref, mx, my, vx, vy, bias, bestSAD); s < bestSAD {
 				bestSAD = s
 				bestFull = motionVector{vx, vy}
 			}
@@ -312,14 +353,15 @@ func searchMotion(cur, ref *Plane, mx, my int) motionVector {
 	}
 	// Half-pel refinement around the full-pel winner.
 	best := motionVector{2 * bestFull.X, 2 * bestFull.Y}
+	var pred [MBSize * MBSize]uint8
 	for dy := -1; dy <= 1; dy++ {
 		for dx := -1; dx <= 1; dx++ {
 			if dx == 0 && dy == 0 {
 				continue
 			}
 			hv := motionVector{2*bestFull.X + dx, 2*bestFull.Y + dy}
-			s := mbSADHalf(cur, ref, mx, my, hv.X, hv.Y)
-			if s < bestSAD {
+			ref.halfPelBlock(pred[:], MBSize, mx, my, hv.X, hv.Y)
+			if s := sad16(cur.pix[cur.offset(mx, my):], cur.stride, pred[:], MBSize, 0, bestSAD); s < bestSAD {
 				bestSAD = s
 				best = hv
 			}
@@ -328,55 +370,28 @@ func searchMotion(cur, ref *Plane, mx, my int) motionVector {
 	return best
 }
 
-func mbSAD(cur, ref *Plane, mx, my, vx, vy int) int {
-	// Interior fast path: when both 16×16 windows are fully inside their
-	// planes, At's edge clamping is the identity and the rows can be
-	// walked as fixed-size arrays with no bounds checks. Edge macroblocks
-	// (and vectors reaching past the border) take the clamped loop.
-	if mx >= 0 && my >= 0 && mx+MBSize <= cur.W && my+MBSize <= cur.H &&
-		mx+vx >= 0 && my+vy >= 0 && mx+vx+MBSize <= ref.W && my+vy+MBSize <= ref.H {
-		sad := 0
-		for y := 0; y < MBSize; y++ {
-			co := (my+y)*cur.W + mx
-			ro := (my+y+vy)*ref.W + mx + vx
-			c := (*[MBSize]uint8)(cur.Pix[co : co+MBSize])
-			r := (*[MBSize]uint8)(ref.Pix[ro : ro+MBSize])
-			for x := 0; x < MBSize; x++ {
-				d := int(c[x]) - int(r[x])
-				if d < 0 {
-					d = -d
-				}
-				sad += d
-			}
-		}
-		return sad
-	}
-	sad := 0
-	for y := 0; y < MBSize; y++ {
-		for x := 0; x < MBSize; x++ {
-			d := int(cur.At(mx+x, my+y)) - int(ref.At(mx+x+vx, my+y+vy))
-			if d < 0 {
-				d = -d
-			}
-			sad += d
-		}
-	}
-	return sad
+// sadFullPel returns sum plus the SAD between the current macroblock at
+// (mx,my) and the reference one displaced by the full-pel vector
+// (vx,vy), stopping early as sad16 does.
+func sadFullPel(cur, ref *paddedPlane, mx, my, vx, vy, sum, limit int) int {
+	return sad16(cur.pix[cur.offset(mx, my):], cur.stride,
+		ref.pix[ref.offset(mx+vx, my+vy):], ref.stride, sum, limit)
 }
 
-// mbSADHalf is mbSAD with a half-pel vector.
-func mbSADHalf(cur, ref *Plane, mx, my, hvx, hvy int) int {
-	sad := 0
-	for y := 0; y < MBSize; y++ {
+// sad16 returns sum plus the SAD between the 16×16 blocks starting at
+// a[0] and b[0] with row strides as and bs. It stops after any row
+// where the running sum reaches limit, returning a value >= limit.
+func sad16(a []uint8, as int, b []uint8, bs int, sum, limit int) int {
+	for y := 0; y < MBSize && sum < limit; y++ {
+		ra := (*[MBSize]uint8)(a[y*as : y*as+MBSize])
+		rb := (*[MBSize]uint8)(b[y*bs : y*bs+MBSize])
 		for x := 0; x < MBSize; x++ {
-			d := int(cur.At(mx+x, my+y)) - halfPelSample(ref, 2*(mx+x)+hvx, 2*(my+y)+hvy)
-			if d < 0 {
-				d = -d
-			}
-			sad += d
+			d := int(ra[x]) - int(rb[x])
+			m := d >> 63 // branch-free |d|
+			sum += (d ^ m) - m
 		}
 	}
-	return sad
+	return sum
 }
 
 // copyMB copies one macroblock (luma + both chroma tiles) from ref to dst.
@@ -405,14 +420,18 @@ func copyTile(dst, ref *Plane, x0, y0, n int) {
 
 // codeResidualBlock transforms and writes one 8×8 motion-compensated
 // residual (half-pel vector hvx/hvy), reconstructing into rec.
-func codeResidualBlock(w *BitWriter, cur, ref, rec *Plane, bx, by, hvx, hvy, qscale int) {
+func codeResidualBlock(w *BitWriter, cur, ref *paddedPlane, rec *Plane, bx, by, hvx, hvy, qscale int) {
 	var res, coef Block
 	var levels [BlockSize * BlockSize]int32
+	var pred [BlockSize * BlockSize]uint8
+	ref.halfPelBlock(pred[:], BlockSize, bx, by, hvx, hvy)
+	co := cur.offset(bx, by)
 	for y := 0; y < BlockSize; y++ {
+		c := (*[BlockSize]uint8)(cur.pix[co : co+BlockSize])
 		for x := 0; x < BlockSize; x++ {
-			pred := halfPelSample(ref, 2*(bx+x)+hvx, 2*(by+y)+hvy)
-			res[y*BlockSize+x] = float64(int(cur.At(bx+x, by+y)) - pred)
+			res[y*BlockSize+x] = float64(int(c[x]) - int(pred[y*BlockSize+x]))
 		}
+		co += cur.stride
 	}
 	FDCT(&res, &coef)
 	quantize(&coef, &levels, false, qscale)
@@ -421,8 +440,7 @@ func codeResidualBlock(w *BitWriter, cur, ref, rec *Plane, bx, by, hvx, hvy, qsc
 	IDCT(&coef, &res)
 	for y := 0; y < BlockSize; y++ {
 		for x := 0; x < BlockSize; x++ {
-			pred := halfPelSample(ref, 2*(bx+x)+hvx, 2*(by+y)+hvy)
-			rec.Set(bx+x, by+y, clampSample(float64(pred)+res[y*BlockSize+x]))
+			rec.Set(bx+x, by+y, clampSample(float64(pred[y*BlockSize+x])+res[y*BlockSize+x]))
 		}
 	}
 }

@@ -418,3 +418,73 @@ func TestHalfPelImprovesOrMatchesSubPixelMotion(t *testing.T) {
 		}
 	}
 }
+
+// --- reference motion search ---
+//
+// The encoder's motion search before it read edge-extended planes: a
+// clamped Plane.At read for every sample that may fall outside the
+// plane, and a full SAD for every candidate. The production search must
+// pick exactly the vectors this one picks (FuzzMotionSearch).
+
+func referenceSearchMotion(cur, ref *Plane, mx, my int) motionVector {
+	bestFull := motionVector{}
+	bestSAD := referenceMBSAD(cur, ref, mx, my, 0, 0)
+	for vy := -SearchRange; vy <= SearchRange; vy++ {
+		for vx := -SearchRange; vx <= SearchRange; vx++ {
+			if vx == 0 && vy == 0 {
+				continue
+			}
+			s := referenceMBSAD(cur, ref, mx, my, vx, vy)
+			// Bias toward shorter vectors to stabilise the field.
+			s += 4 * (absInt(vx) + absInt(vy))
+			if s < bestSAD {
+				bestSAD = s
+				bestFull = motionVector{vx, vy}
+			}
+		}
+	}
+	// Half-pel refinement around the full-pel winner.
+	best := motionVector{2 * bestFull.X, 2 * bestFull.Y}
+	for dy := -1; dy <= 1; dy++ {
+		for dx := -1; dx <= 1; dx++ {
+			if dx == 0 && dy == 0 {
+				continue
+			}
+			hv := motionVector{2*bestFull.X + dx, 2*bestFull.Y + dy}
+			s := referenceMBSADHalf(cur, ref, mx, my, hv.X, hv.Y)
+			if s < bestSAD {
+				bestSAD = s
+				best = hv
+			}
+		}
+	}
+	return best
+}
+
+func referenceMBSAD(cur, ref *Plane, mx, my, vx, vy int) int {
+	sad := 0
+	for y := 0; y < MBSize; y++ {
+		for x := 0; x < MBSize; x++ {
+			d := int(cur.At(mx+x, my+y)) - int(ref.At(mx+x+vx, my+y+vy))
+			if d < 0 {
+				d = -d
+			}
+			sad += d
+		}
+	}
+	return sad
+}
+
+func referenceMBSADHalf(cur, ref *Plane, mx, my, hvx, hvy int) int {
+	sad := 0
+	for y := 0; y < MBSize; y++ {
+		for x := 0; x < MBSize; x++ {
+			d := int(cur.At(mx+x, my+y)) - halfPelSample(ref, 2*(mx+x)+hvx, 2*(my+y)+hvy)
+			if d < 0 {
+				d = -d
+			}
+			sad += d
+		}
+	}
+	return sad
+}

@@ -76,6 +76,13 @@ func NewPicture(w, h int) *Picture {
 // over each 2×2 luma quad.
 func FromFrame(f *frame.Frame) *Picture {
 	pic := NewPicture(f.W, f.H)
+	pic.fromFrame(f)
+	return pic
+}
+
+// fromFrame overwrites every sample of pic (sized for f) with f's
+// conversion.
+func (pic *Picture) fromFrame(f *frame.Frame) {
 	for y := 0; y < f.H; y++ {
 		for x := 0; x < f.W; x++ {
 			yc := pixel.ToYCbCr(f.At(x, y))
@@ -103,7 +110,6 @@ func FromFrame(f *frame.Frame) *Picture {
 			}
 		}
 	}
-	return pic
 }
 
 // ToFrame converts the picture back to an RGB frame of the given size
@@ -126,6 +132,98 @@ func (pic *Picture) ToFrame() *frame.Frame {
 // Clone deep-copies the picture.
 func (pic *Picture) Clone() *Picture {
 	return &Picture{Y: pic.Y.Clone(), Cb: pic.Cb.Clone(), Cr: pic.Cr.Clone()}
+}
+
+func (pic *Picture) planes() [3]*Plane { return [3]*Plane{pic.Y, pic.Cb, pic.Cr} }
+
+// padBorder is how far a paddedPlane extends past each edge. P-frame
+// coding reads at most MBSize-1 samples past the last whole macroblock
+// (a partial one at the right or bottom edge), SearchRange further for
+// the vector, and one more each for the half-pel floor and the
+// bilinear neighbour; chroma reads reach less far.
+const padBorder = SearchRange + MBSize + 2
+
+// paddedPlane is a copy of a Plane edge-extended by padBorder samples on
+// every side: the sample stored for (x, y) is exactly what Plane.At
+// clamps (x, y) to, so block reads that reach past the edge index a
+// plain strided array. Its buffer is reused across fills.
+type paddedPlane struct {
+	stride int
+	pix    []uint8
+	origin int // index of sample (0, 0)
+}
+
+// fill replaces the contents with the edge extension of p.
+func (pp *paddedPlane) fill(p *Plane) {
+	pp.stride = p.W + 2*padBorder
+	n := pp.stride * (p.H + 2*padBorder)
+	if cap(pp.pix) < n {
+		pp.pix = make([]uint8, n)
+	}
+	pp.pix = pp.pix[:n]
+	pp.origin = padBorder*pp.stride + padBorder
+	for y := 0; y < p.H; y++ {
+		src := p.Pix[y*p.W : (y+1)*p.W]
+		row := pp.pix[pp.offset(-padBorder, y):pp.offset(p.W+padBorder, y)]
+		left, right := row[:padBorder], row[padBorder+p.W:]
+		for x := range left {
+			left[x] = src[0]
+		}
+		copy(row[padBorder:], src)
+		for x := range right {
+			right[x] = src[p.W-1]
+		}
+	}
+	first := pp.pix[pp.offset(-padBorder, 0):pp.offset(-padBorder, 1)]
+	last := pp.pix[pp.offset(-padBorder, p.H-1):pp.offset(-padBorder, p.H)]
+	for y := 1; y <= padBorder; y++ {
+		copy(pp.pix[pp.offset(-padBorder, -y):], first)
+		copy(pp.pix[pp.offset(-padBorder, p.H-1+y):], last)
+	}
+}
+
+// offset returns the index of sample (x, y).
+func (pp *paddedPlane) offset(x, y int) int { return pp.origin + y*pp.stride + x }
+
+// halfPelBlock writes the n×n prediction at (x0, y0) displaced by the
+// half-pel vector (hvx, hvy) into pred, row-major: sample (x, y) equals
+// halfPelSample(p, 2*(x0+x)+hvx, 2*(y0+y)+hvy) on the unpadded plane,
+// since (2k+h)>>1 = k + h>>1 and (2k+h)&1 = h&1.
+func (pp *paddedPlane) halfPelBlock(pred []uint8, n, x0, y0, hvx, hvy int) {
+	o := pp.offset(x0+(hvx>>1), y0+(hvy>>1))
+	s := pp.stride
+	for y := 0; y < n; y++ {
+		dst := pred[y*n : (y+1)*n]
+		r0 := pp.pix[o : o+n+1]
+		r1 := pp.pix[o+s : o+s+n+1]
+		switch {
+		case hvx&1 == 0 && hvy&1 == 0:
+			copy(dst, r0)
+		case hvy&1 == 0:
+			for x := range dst {
+				dst[x] = uint8((int(r0[x]) + int(r0[x+1]) + 1) >> 1)
+			}
+		case hvx&1 == 0:
+			for x := range dst {
+				dst[x] = uint8((int(r0[x]) + int(r1[x]) + 1) >> 1)
+			}
+		default:
+			for x := range dst {
+				dst[x] = uint8((int(r0[x]) + int(r0[x+1]) + int(r1[x]) + int(r1[x+1]) + 2) >> 2)
+			}
+		}
+		o += s
+	}
+}
+
+// copyTile copies the n×n tile at (x0, y0) into dst, dropping the
+// samples that fall outside dst.
+func (pp *paddedPlane) copyTile(dst *Plane, x0, y0, n int) {
+	w := min(n, dst.W-x0)
+	for y := y0; y < min(y0+n, dst.H); y++ {
+		o := pp.offset(x0, y)
+		copy(dst.Pix[y*dst.W+x0:y*dst.W+x0+w], pp.pix[o:o+w])
+	}
 }
 
 // validateDims checks encoder/decoder dimension agreement.

@@ -192,6 +192,9 @@ type tier struct {
 	// catalog). Empty disables peer fill (peer-facing resolution must
 	// not re-fetch).
 	clip string
+	// workers is how many goroutines a computation may use (the node's
+	// annotation worker count).
+	workers int
 }
 
 // getOrCompute resolves key through the memory tier; on a memory miss

@@ -40,7 +40,7 @@ func variantFor(ctx context.Context, t tier, digest string, src core.Source, tra
 	vAny, err := t.getOrCompute(ctx,
 		anncache.Key{Kind: "variant", Digest: digest, Quality: qi}, encSig(cfg), variantCodec,
 		func(ctx context.Context) (any, int64, error) {
-			v, err := prepareVariant(ctx, src, track, qi, cfg)
+			v, err := prepareVariant(ctx, src, track, qi, cfg, t.workers)
 			if err != nil {
 				return nil, 0, err
 			}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/display"
 	"repro/internal/dvs"
+	"repro/internal/frame"
 	"repro/internal/netsched"
 	"repro/internal/obs"
 	"repro/internal/power"
@@ -663,25 +664,23 @@ func resumePoint(frames []*codec.EncodedFrame, req Request) (int, error) {
 // computes the decode-cycle and scene-byte side channels. The whole
 // stream is encoded before anything is sent so that all annotations are
 // available to the client before it decodes anything — the point of
-// annotating ahead of time (§3).
-func prepareVariant(ctx context.Context, src core.Source, track *annotation.Track, qi int, cfg EncodeConfig) (*variant, error) {
+// annotating ahead of time (§3). Up to workers goroutines encode it,
+// one GOP at a time.
+func prepareVariant(ctx context.Context, src core.Source, track *annotation.Track, qi int, cfg EncodeConfig, workers int) (*variant, error) {
 	width, height := src.Size()
-	enc, err := codec.NewEncoder(width, height, cfg.GOP, cfg.QScale)
-	if err != nil {
-		return nil, err
-	}
 	sp := obs.StartSpan(ctx, "stream.compensate_encode")
 	cursor := track.NewCursor(qi)
 	n := src.TotalFrames()
-	frames := make([]*codec.EncodedFrame, 0, n)
-	for i := 0; i < n; i++ {
-		target, _ := cursor.Next()
-		f := core.CompensateFrame(src.Frame(i), target, compensate.ContrastEnhancement)
-		ef, err := enc.Encode(f)
-		if err != nil {
-			return nil, err
-		}
-		frames = append(frames, ef)
+	targets := make([]float64, n)
+	for i := range targets {
+		targets[i], _ = cursor.Next()
+	}
+	frames, err := codec.EncodeGOPs(ctx, width, height, cfg.GOP, cfg.QScale, n, workers,
+		func(i int) *frame.Frame {
+			return core.CompensateFrame(src.Frame(i), targets[i], compensate.ContrastEnhancement)
+		})
+	if err != nil {
+		return nil, err
 	}
 	sp.End()
 
@@ -726,25 +725,14 @@ func prepareVariant(ctx context.Context, src core.Source, track *annotation.Trac
 // through the artifact tier like any other variant so repeated raw
 // fetches (a proxy re-filling after eviction, a second proxy cold
 // start) stream cached bytes instead of re-encoding the clip.
-func prepareRawVariant(ctx context.Context, src core.Source, cfg EncodeConfig) (*variant, error) {
+func prepareRawVariant(ctx context.Context, src core.Source, cfg EncodeConfig, workers int) (*variant, error) {
 	width, height := src.Size()
-	enc, err := codec.NewEncoder(width, height, cfg.GOP, cfg.QScale)
-	if err != nil {
-		return nil, err
-	}
 	sp := obs.StartSpan(ctx, "stream.raw_encode")
 	defer sp.End()
-	n := src.TotalFrames()
-	frames := make([]*codec.EncodedFrame, 0, n)
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ef, err := enc.Encode(src.Frame(i))
-		if err != nil {
-			return nil, err
-		}
-		frames = append(frames, ef)
+	frames, err := codec.EncodeGOPs(ctx, width, height, cfg.GOP, cfg.QScale,
+		src.TotalFrames(), workers, src.Frame)
+	if err != nil {
+		return nil, err
 	}
 	v := &variant{frames: frames}
 	if err := v.seal(); err != nil {
@@ -759,7 +747,7 @@ func rawVariantFor(ctx context.Context, t tier, digest string, src core.Source, 
 	vAny, err := t.getOrCompute(ctx,
 		anncache.Key{Kind: "raw", Digest: digest, Quality: -1}, encSig(cfg), variantCodec,
 		func(ctx context.Context) (any, int64, error) {
-			v, err := prepareRawVariant(ctx, src, cfg)
+			v, err := prepareRawVariant(ctx, src, cfg, t.workers)
 			if err != nil {
 				return nil, 0, err
 			}

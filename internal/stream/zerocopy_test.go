@@ -40,7 +40,7 @@ func buildServingFixture(t testing.TB) (core.Source, *annotation.Track, *variant
 	}
 	qi := track.QualityIndex(0.10)
 	cfg := s.enc.withDefaults(src.FPS())
-	v, err := prepareVariant(context.Background(), src, track, qi, cfg)
+	v, err := prepareVariant(context.Background(), src, track, qi, cfg, s.annWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}
