@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -47,13 +48,50 @@ func startStoreServer(t *testing.T, dir string) (*Server, *annstore.Store, *obs.
 	s.SetLogf(quiet)
 	s.SetObserver(reg)
 	s.SetStore(st)
-	st.SetObserver(reg, obs.L("role", "server"))
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		st.Close()
 		t.Fatal(err)
 	}
 	return s, st, reg, addr.String()
+}
+
+// TestStoreMetricsWiredThroughObserver: the node hands its registry to
+// the store whichever of SetObserver and SetStore comes first, so a
+// cold session's writes show in annstore_puts_total with no direct
+// Store.SetObserver call.
+func TestStoreMetricsWiredThroughObserver(t *testing.T) {
+	for _, observerFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("observer_first=%v", observerFirst), func(t *testing.T) {
+			st, err := annstore.Open(t.TempDir(), annstore.Options{Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			reg := obs.NewRegistry()
+			s := NewServer(testCatalog())
+			s.SetLogf(quiet)
+			if observerFirst {
+				s.SetObserver(reg)
+				s.SetStore(st)
+			} else {
+				s.SetStore(st)
+				s.SetObserver(reg)
+			}
+			addr, err := s.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			fetchAnnotated(t, addr.String())
+			for _, kind := range []string{"track", "variant", "levels"} {
+				puts := reg.Counter("annstore_puts_total", "", obs.L("kind", kind), obs.L("role", "server"))
+				if puts.Value() == 0 {
+					t.Errorf("annstore_puts_total{kind=%q} = 0 after a cold session", kind)
+				}
+			}
+		})
+	}
 }
 
 func fetchAnnotated(t *testing.T, addr string) []byte {
