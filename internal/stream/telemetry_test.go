@@ -93,9 +93,10 @@ func TestServerTelemetryCounts(t *testing.T) {
 	if got := reg.Counter("stream_bytes_sent_total", "", role).Value(); got == 0 {
 		t.Error("bytes_sent_total = 0")
 	}
-	if got := reg.Gauge("stream_active_conns", "", role).Value(); got != 0 {
-		t.Errorf("active_conns = %v after sessions ended, want 0", got)
-	}
+	// The client returns once it has read the stream; the server's
+	// session teardown may still be running.
+	active := reg.Gauge("stream_active_conns", "", role)
+	waitFor(t, "active_conns to return to 0 after sessions ended", func() bool { return active.Value() == 0 })
 	// Each artifact kind — track, variant, device levels — misses once on
 	// the first play and hits once on the replay.
 	for _, kind := range []string{"track", "variant", "levels"} {
