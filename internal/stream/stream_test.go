@@ -167,6 +167,45 @@ func TestProxyServesAnnotatedFromRawUpstream(t *testing.T) {
 	}
 }
 
+// TestProxyRefusesRawMode: a proxy holds only the stream it annotated
+// itself, so a raw request gets a clean error instead of compensated
+// bytes — and a proxy chained behind another proxy fails cleanly rather
+// than compensating the stream twice.
+func TestProxyRefusesRawMode(t *testing.T) {
+	_, upstream := startServer(t)
+	p1 := NewProxy(upstream)
+	p1.SetLogf(quiet)
+	addr1, err := p1.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p1.Close)
+
+	resp := sessionBytes(t, addr1.String(), rqs4(255, ModeRaw, "night", "", 0, 0))
+	r := bytes.NewReader(resp)
+	_, remoteErr, err := ReadResponseMagic(r)
+	if err != nil || remoteErr == nil || !strings.Contains(remoteErr.Error(), "raw mode") {
+		t.Fatalf("raw request to a proxy: remote error %v, parse error %v; want a raw-mode refusal", remoteErr, err)
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d bytes followed the refusal", r.Len())
+	}
+
+	p2 := NewProxy(addr1.String())
+	p2.SetLogf(quiet)
+	p2.SetRetryPolicy(RetryPolicy{MaxAttempts: 1})
+	addr2, err := p2.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p2.Close)
+	client := &Client{Device: display.IPAQ5555(), Retry: RetryPolicy{MaxAttempts: 1}}
+	res, err := client.Play(addr2.String(), "night", 0.10)
+	if err == nil || !strings.Contains(err.Error(), "raw mode") {
+		t.Fatalf("chained proxy: result %+v, err %v; want a raw-mode refusal", res, err)
+	}
+}
+
 func TestProxyUpstreamDown(t *testing.T) {
 	p := NewProxy("127.0.0.1:1") // nothing listens there
 	p.SetLogf(quiet)
