@@ -11,11 +11,11 @@ import (
 
 // FuzzReadRequest hardens the negotiation parser: arbitrary bytes must
 // never panic, and anything it accepts must survive a write/read round
-// trip unchanged (the v1, v2, and v3 framings).
+// trip unchanged.
 func FuzzReadRequest(f *testing.F) {
 	traced := Request{
 		Clip: "night", Quality: 0.10, Device: "ipaq5555",
-		Mode: ModeAnnotated, Version: 3, StartFrame: 7,
+		Mode: ModeAnnotated, StartFrame: 7,
 	}
 	traced.Trace.Trace[0] = 0xab
 	traced.Trace.Span[7] = 0x01
@@ -23,10 +23,10 @@ func FuzzReadRequest(f *testing.F) {
 	for _, req := range []Request{
 		{Clip: "night", Quality: 0.10, Device: "ipaq5555", Mode: ModeAnnotated},
 		{Clip: "n", Quality: 1, Mode: ModeRaw},
-		{Clip: "night", Quality: 0.10, Device: "ipaq5555", Mode: ModeAnnotated, Version: 2, StartFrame: 7},
-		{Clip: "day", Quality: 0.5, Device: "ipaq5555", Mode: ModeAnnotated, Version: 3},
-		{Clip: "night", Quality: 0.10, Device: "ipaq5555", Mode: ModeAnnotated, Version: 4, Adaptive: true},
-		{Clip: "night", Quality: 0.05, Device: "ipaq5555", Mode: ModeAnnotated, Version: 4, Adaptive: true, StartFrame: 12},
+		{Clip: "night", Quality: 0.10, Device: "ipaq5555", Mode: ModeAnnotated, StartFrame: 7},
+		{Clip: "day", Quality: 0.5, Device: "ipaq5555", Mode: ModeAnnotated},
+		{Clip: "night", Quality: 0.10, Device: "ipaq5555", Mode: ModeAnnotated, Adaptive: true},
+		{Clip: "night", Quality: 0.05, Device: "ipaq5555", Mode: ModeAnnotated, Adaptive: true, StartFrame: 12},
 		traced,
 	} {
 		var buf bytes.Buffer
@@ -35,6 +35,8 @@ func FuzzReadRequest(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	// Retired magics and a flags-only tail: the parser must refuse or
+	// round-trip them, never panic.
 	f.Add([]byte("RQS1"))
 	f.Add([]byte("RQS2\xff\x00\x01x\x00"))
 	f.Add([]byte("RQS4\x02\x00\x01x\x00\x00\x00\x00\x00\x02"))
@@ -112,41 +114,40 @@ func FuzzReadQualitySwitch(f *testing.F) {
 	})
 }
 
-// TestRequestV4Framing pins the adaptive negotiation: the flag survives
-// a round trip, only rides the v4 magic, and pre-v4 writers refuse it —
-// the contract behind the 4 → 3 → 2 → 1 downgrade chain.
+// TestRequestV4Framing pins the one request framing: an RQS4 request
+// always carries the start frame and flags byte, and the adaptive flag,
+// start frame and trace context survive a round trip.
 func TestRequestV4Framing(t *testing.T) {
 	var buf bytes.Buffer
 	want := Request{Clip: "night", Quality: 0.10, Device: "ipaq5555",
-		Mode: ModeAnnotated, Version: 4, Adaptive: true, StartFrame: 3}
+		Mode: ModeAnnotated, Adaptive: true, StartFrame: 3}
+	want.Trace.Trace[15] = 0x42
+	want.Trace.Span[0] = 0x07
 	if err := WriteRequest(&buf, want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(buf.Bytes(), []byte("RQS4")) {
-		t.Fatalf("v4 request framed as %q", buf.Bytes()[:4])
+		t.Fatalf("request framed as %q", buf.Bytes()[:4])
 	}
 	got, err := ReadRequest(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Adaptive || got.Version != 4 || got.StartFrame != 3 {
-		t.Errorf("v4 round trip lost fields: %+v", got)
+	if got.Clip != want.Clip || got.Device != want.Device || !got.Adaptive ||
+		got.StartFrame != 3 || got.Trace != want.Trace {
+		t.Errorf("round trip lost fields: %+v", got)
 	}
-	// The adaptive flag must not be expressible in older framings: a v3
-	// writer that sneaked it through would desynchronise the downgrade.
-	if err := WriteRequest(&bytes.Buffer{}, Request{
-		Clip: "night", Mode: ModeAnnotated, Version: 3, Adaptive: true,
-	}); err == nil {
-		t.Error("adaptive flag accepted on a v3 request")
-	}
-	// A v4 request without the flag is legal (fixed session on new wire).
-	plain := Request{Clip: "night", Quality: 0.2, Mode: ModeAnnotated, Version: 4}
+	// A fixed session from frame zero without a trace still sends the
+	// start frame and an empty flags byte.
 	var pb bytes.Buffer
-	if err := WriteRequest(&pb, plain); err != nil {
+	if err := WriteRequest(&pb, Request{Clip: "night", Quality: 0.2, Mode: ModeAnnotated}); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := ReadRequest(&pb); err != nil || got.Adaptive {
-		t.Errorf("plain v4 round trip: %+v, %v", got, err)
+	if wire := rqs4(51, ModeAnnotated, "night", "", 0, 0); !bytes.Equal(pb.Bytes(), wire) {
+		t.Errorf("plain request framed as %q, want %q", pb.Bytes(), wire)
+	}
+	if got, err := ReadRequest(&pb); err != nil || got.Adaptive || got.Trace.Valid() {
+		t.Errorf("plain round trip: %+v, %v", got, err)
 	}
 }
 

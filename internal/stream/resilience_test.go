@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -192,57 +193,51 @@ func TestClientDegradesOnCorruptAnnotations(t *testing.T) {
 	}
 }
 
-// TestClientDowngradesToV1 runs the version negotiation against an "old"
-// server: a shim that rejects the v2 and v3 magics with "bad request"
-// and forwards v1 traffic to a real server. The stepwise downgrade
-// (3 → 2 → 1) must be invisible (no retry budget spent) and the session
-// must complete as v1.
-func TestClientDowngradesToV1(t *testing.T) {
-	_, upstream := startServer(t)
-	ln := newLocalListener(t)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				var magic [4]byte
-				if _, err := io.ReadFull(conn, magic[:]); err != nil {
-					return
-				}
-				if magic == reqMagicV2 || magic == reqMagicV3 {
-					// What a pre-v2 server does with framing it cannot
-					// parse.
-					WriteError(conn, "bad request")
-					return
-				}
-				up, err := net.Dial("tcp", upstream)
-				if err != nil {
-					return
-				}
-				defer up.Close()
-				up.Write(magic[:])
-				go io.Copy(up, conn)
-				io.Copy(conn, up)
-			}(conn)
-		}
-	}()
-
-	client := &Client{Device: display.IPAQ5555()}
-	res, err := client.Play(ln.Addr().String(), "night", 0.10)
+// TestOldRequestFramingsRefused: the retired RQS1–RQS3 request framings
+// are unknown magics like any other — a server or a proxy answers
+// "bad request" and closes the connection, without waiting for more.
+func TestOldRequestFramingsRefused(t *testing.T) {
+	_, srvAddr := startServer(t)
+	p := NewProxy(srvAddr)
+	p.SetLogf(quiet)
+	pAddr, err := p.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ProtocolVersion != 1 {
-		t.Errorf("protocol version = %d, want 1 after downgrade", res.ProtocolVersion)
-	}
-	if res.Retries != 0 {
-		t.Errorf("retries = %d; the downgrade must not consume retry budget", res.Retries)
-	}
-	if res.Frames != 20 {
-		t.Errorf("frames = %d, want 20", res.Frames)
+	t.Cleanup(p.Close)
+	for _, node := range []struct{ name, addr string }{
+		{"server", srvAddr},
+		{"proxy", pAddr.String()},
+	} {
+		for _, old := range []struct {
+			name string
+			wire string
+		}{
+			{"RQS1", "RQS1\x1a\x00\x05night\x08ipaq5555"},
+			{"RQS2", "RQS2\x1a\x00\x05night\x08ipaq5555\x00\x00\x00\x07"},
+			{"RQS3", "RQS3\x1a\x00\x05night\x08ipaq5555\x00\x00\x00\x00\x00"},
+		} {
+			t.Run(node.name+"/"+old.name, func(t *testing.T) {
+				conn, err := net.Dial("tcp", node.addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				conn.SetDeadline(time.Now().Add(5 * time.Second))
+				if _, err := io.WriteString(conn, old.wire); err != nil {
+					t.Fatal(err)
+				}
+				_, remoteErr, err := ReadResponseMagic(conn)
+				if err != nil || remoteErr == nil || !strings.Contains(remoteErr.Error(), "bad request") {
+					t.Fatalf("remote error %v, parse error %v; want \"bad request\"", remoteErr, err)
+				}
+				n, err := conn.Read(make([]byte, 1))
+				var ne net.Error
+				if n != 0 || err == nil || errors.As(err, &ne) && ne.Timeout() {
+					t.Fatalf("after the refusal: read %d bytes, err %v; want the connection closed", n, err)
+				}
+			})
+		}
 	}
 }
 
