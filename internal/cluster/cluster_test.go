@@ -289,7 +289,7 @@ func TestNodeNotFoundKeepsBreakerClosed(t *testing.T) {
 			t.Fatalf("fetch %d: %v, want ErrNotFound", i, err)
 		}
 	}
-	if st := n.peers[0].br.State(); st != breaker.Closed {
+	if st, _ := n.peers.State(peer); st != breaker.Closed {
 		t.Fatalf("breaker %v after clean misses, want Closed", st)
 	}
 }
@@ -323,7 +323,7 @@ func TestNodeOwnerSkipsOpenBreaker(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		n.Fetch(context.Background(), dead1, FetchRequest{Kind: "track", Digest: digest})
 	}
-	if st := n.peers[0].br.State(); st != breaker.Open {
+	if st, _ := n.peers.State(dead1); st != breaker.Open {
 		t.Fatalf("breaker %v after dial failures, want Open", st)
 	}
 	addr, self := n.Owner("track", digest)

@@ -21,8 +21,8 @@ type Config struct {
 	// Peers are the other members' addresses (validated: no duplicates,
 	// never Self).
 	Peers []string
-	// Breaker tunes the per-peer circuit breakers; the zero value gets
-	// the same defaults the proxy's upstream breakers use.
+	// Breaker tunes the per-peer circuit breakers; a zero Window selects
+	// DefaultBreakerConfig, the proxy's upstream default too.
 	Breaker breaker.Config
 	// DialTimeout bounds connecting to a peer; FetchTimeout bounds one
 	// whole fetch RPC (write request + read response).
@@ -40,19 +40,13 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// peerNode is one remote member with its health breaker.
-type peerNode struct {
-	addr string
-	br   *breaker.Breaker
-}
-
 // Node routes artifact keys across the member list and fetches from
 // shard owners with per-peer breakers. All methods are safe for
 // concurrent use.
 type Node struct {
 	cfg     Config
 	self    string
-	peers   []*peerNode
+	peers   *PeerSet
 	members []string // self + peer addresses (routing universe)
 
 	logMu sync.Mutex
@@ -61,10 +55,6 @@ type Node struct {
 	obsMu  sync.Mutex
 	obsReg *obs.Registry
 	labels []obs.Label
-
-	probeMu   sync.Mutex
-	probeStop chan struct{}
-	probeDone chan struct{}
 }
 
 // New builds a node over the validated member list. The peer list is
@@ -86,28 +76,11 @@ func New(cfg Config) (*Node, error) {
 	}
 	brCfg := cfg.Breaker
 	if brCfg.Window == 0 {
-		brCfg = breaker.Config{
-			Window: 10 * time.Second, Buckets: 10,
-			FailureRate: 0.5, MinSamples: 2,
-			OpenFor: 3 * time.Second, HalfOpenProbes: 1, CloseAfter: 1,
-		}
+		brCfg = DefaultBreakerConfig()
 	}
 	n := &Node{cfg: cfg, self: cfg.Self, logFn: cfg.Logf}
-	n.members = append(n.members, cfg.Self)
-	for _, addr := range peers {
-		p := &peerNode{addr: addr}
-		pc := brCfg
-		user := pc.OnStateChange
-		pc.OnStateChange = func(from, to breaker.State) {
-			n.onBreakerChange(p.addr, from, to)
-			if user != nil {
-				user(from, to)
-			}
-		}
-		p.br = breaker.New(pc)
-		n.peers = append(n.peers, p)
-		n.members = append(n.members, addr)
-	}
+	n.members = append([]string{cfg.Self}, peers...)
+	n.peers = NewPeerSet(peers, brCfg, n.onBreakerChange, cfg.ProbeEvery, n.dialAddr, n.countProbe)
 	return n, nil
 }
 
@@ -207,8 +180,9 @@ func (n *Node) SetObserver(r *obs.Registry, labels ...obs.Label) {
 	n.obsReg = r
 	n.labels = labels
 	n.obsMu.Unlock()
-	for _, p := range n.peers {
-		n.peerStateGauge(p.addr).Set(float64(p.br.State()))
+	for _, addr := range n.peers.Addrs() {
+		st, _ := n.peers.State(addr)
+		n.peerStateGauge(addr).Set(float64(st))
 	}
 }
 
@@ -290,20 +264,11 @@ func (n *Node) Owner(kind, digest string) (addr string, self bool) {
 		if m == n.self {
 			return m, true
 		}
-		if p := n.peer(m); p != nil && p.br.State() != breaker.Open {
+		if st, member := n.peers.State(m); member && st != breaker.Open {
 			return m, false
 		}
 	}
 	return n.self, true
-}
-
-func (n *Node) peer(addr string) *peerNode {
-	for _, p := range n.peers {
-		if p.addr == addr {
-			return p
-		}
-	}
-	return nil
 }
 
 // Fetch retrieves one artifact's encoded bytes from the peer at addr,
@@ -326,11 +291,10 @@ func (n *Node) Fetch(ctx context.Context, addr string, req FetchRequest) (payloa
 			n.countFill()
 		}
 	}()
-	p := n.peer(addr)
-	if p == nil {
+	if _, member := n.peers.State(addr); !member {
 		return nil, fmt.Errorf("%w: %s is not a member", ErrPeerUnavailable, addr)
 	}
-	done, ok := p.br.Allow()
+	done, ok := n.peers.Allow(addr)
 	if !ok {
 		return nil, fmt.Errorf("%w: breaker open for %s", ErrPeerUnavailable, addr)
 	}
@@ -381,63 +345,11 @@ func (n *Node) dialAddr(addr string) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
 }
 
-// Start launches the recovery prober: unhealthy peers (anything not
-// Closed) are dial-probed every ProbeEvery, driving their breakers
-// open -> half-open -> closed as they rejoin, without waiting for a
-// miss to route there. Idempotent; no-op when probing is disabled.
-func (n *Node) Start() {
-	if n.cfg.ProbeEvery <= 0 || len(n.peers) == 0 {
-		return
-	}
-	n.probeMu.Lock()
-	defer n.probeMu.Unlock()
-	if n.probeStop != nil {
-		return
-	}
-	n.probeStop = make(chan struct{})
-	n.probeDone = make(chan struct{})
-	go n.probeLoop(n.probeStop, n.probeDone)
-}
-
-func (n *Node) probeLoop(stop, done chan struct{}) {
-	defer close(done)
-	t := time.NewTicker(n.cfg.ProbeEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			for _, p := range n.peers {
-				if p.br.State() == breaker.Closed {
-					continue
-				}
-				brDone, ok := p.br.Allow()
-				if !ok {
-					continue
-				}
-				n.countProbe()
-				conn, err := n.dialAddr(p.addr)
-				if err == nil {
-					conn.Close()
-				}
-				brDone(err == nil)
-			}
-		}
-	}
-}
+// Start launches the peers' recovery prober (see PeerSet.Start):
+// unhealthy peers are dial-probed every ProbeEvery. Idempotent; no-op
+// when probing is disabled.
+func (n *Node) Start() { n.peers.Start() }
 
 // Stop halts the recovery prober and waits for it to exit. Idempotent
-// and safe when Start was never called — shutdown paths call it
-// unconditionally so probe goroutines never outlive the node.
-func (n *Node) Stop() {
-	n.probeMu.Lock()
-	stop, done := n.probeStop, n.probeDone
-	n.probeStop, n.probeDone = nil, nil
-	n.probeMu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
+// and safe when Start was never called.
+func (n *Node) Stop() { n.peers.Stop() }

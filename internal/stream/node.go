@@ -65,6 +65,10 @@ type nodeCore struct {
 	// list: local misses fill from the shard owner before computing,
 	// and incoming AFR1 frames are answered through resolveFetch.
 	cnode *cluster.Node
+	// upstreams is the proxy's breaker-guarded upstream origins in
+	// failover order (nil for a server). Its recovery prober runs,
+	// like cnode's, from serve until drain.
+	upstreams *cluster.PeerSet
 	// resolveFetch produces the encoded bytes of a requested artifact
 	// for a peer (role-specific: the server resolves from its catalog,
 	// the proxy through its upstream fetch path).
@@ -180,10 +184,17 @@ func (n *nodeCore) tierFor(clip string) tier {
 func (n *nodeCore) serve(ln net.Listener, handler func(net.Conn) error) {
 	n.mu.Lock()
 	n.ln = ln
-	n.mu.Unlock()
-	if n.cnode != nil {
-		n.cnode.Start()
+	if !n.closed {
+		// Recovery probers run while the node serves; beginDrain
+		// stops them, and a drained node does not restart them.
+		if n.upstreams != nil {
+			n.upstreams.Start()
+		}
+		if n.cnode != nil {
+			n.cnode.Start()
+		}
 	}
+	n.mu.Unlock()
 	go n.acceptLoop(ln, handler)
 }
 
@@ -242,9 +253,13 @@ func (n *nodeCore) beginDrain() {
 		n.ln.Close()
 	}
 	n.mu.Unlock()
+	// Peer-health probing must not outlive the node's useful life: a
+	// draining node neither routes, fills nor fetches upstream. Stop
+	// waits for each prober to exit.
+	if n.upstreams != nil {
+		n.upstreams.Stop()
+	}
 	if n.cnode != nil {
-		// Peer-health probing must not outlive the node's useful life:
-		// a draining node neither routes nor fills.
 		n.cnode.Stop()
 	}
 }

@@ -578,7 +578,7 @@ func TestProxyReadyReflectsBreakers(t *testing.T) {
 	if err := p.Ready(); err != nil {
 		t.Fatalf("Ready() = %v while serving, want nil", err)
 	}
-	done, ok := p.upstreams[0].br.Allow()
+	done, ok := p.upstreams.Allow("127.0.0.1:1")
 	if !ok {
 		t.Fatal("breaker rejected the priming call")
 	}
