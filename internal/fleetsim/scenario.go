@@ -44,7 +44,7 @@ type Scenario struct {
 	// 0 releases every session immediately (bounded by MaxConcurrent).
 	ArrivalRate float64 `json:"arrival_rate,omitempty"`
 	// AdaptiveFrac is the fraction of sessions that negotiate the
-	// adaptive quality ladder (protocol v4); the rest play fixed v3.
+	// adaptive quality ladder; the rest play fixed-quality sessions.
 	AdaptiveFrac float64 `json:"adaptive_frac,omitempty"`
 	// Rungs is the quality-rung pool fixed sessions draw from
 	// (indexes into compensate.QualityLevels).

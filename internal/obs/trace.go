@@ -14,7 +14,7 @@ import (
 // This file extends the span primitive into real distributed traces:
 // 128-bit trace identities, parent/child span relationships, key/value
 // attributes and head sampling, propagated via context in-process and
-// via the stream protocol's v3 header extension across process hops.
+// via the stream request's trace context across process hops.
 // One cold-miss request yields a single tree — client.play → proxy
 // session → upstream fetch → server session → pipeline stages — that
 // /debug/traces serves as JSON and -trace-dir exports as JSONL.

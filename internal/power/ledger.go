@@ -187,7 +187,7 @@ func (l *Ledger) Degraded(what string) {
 	}
 }
 
-// Reset discards playback accounting (a v1 replay restarts the clip
+// Reset discards playback accounting (playback restarting the clip
 // from scratch) while keeping wire/stall history, which really
 // happened.
 func (l *Ledger) Reset() {
