@@ -362,3 +362,54 @@ func TestClusterChaosOwnerDeathMidStream(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestClusterProxiesComputeOnce clusters two proxies over one upstream
+// server and plays the clip once through each: both streams must match
+// a standalone proxy's, and the annotation pipeline and variant encoder
+// must each run exactly once across the pair (the non-owner fills from
+// the proxy that owns the shard).
+func TestClusterProxiesComputeOnce(t *testing.T) {
+	_, upstream := startServer(t)
+	ref := NewProxy(upstream)
+	ref.SetLogf(quiet)
+	refAddr, err := ref.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ref.Close)
+	want := playDigests(t, refAddr.String(), 0.10, nil)
+
+	addrs := []string{reserveAddr(t), reserveAddr(t)}
+	regs := make([]*obs.Registry, len(addrs))
+	for i, addr := range addrs {
+		p := NewProxy(upstream)
+		p.SetLogf(quiet)
+		cn, err := cluster.New(cluster.Config{
+			Self: addr, Peers: []string{addrs[1-i]},
+			Breaker:    clusterTestBreaker,
+			ProbeEvery: 10 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SetCluster(cn)
+		regs[i] = obs.NewRegistry()
+		p.SetObserver(regs[i])
+		if _, err := p.Listen(addr); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+	}
+	for _, addr := range addrs {
+		assertSameDigests(t, want, playDigests(t, addr, 0.10, nil), "clustered proxy "+addr)
+	}
+	for _, name := range []string{"annotate.build_track", "stream.compensate_encode"} {
+		var runs uint64
+		for _, reg := range regs {
+			runs += spanCount(reg, name)
+		}
+		if runs != 1 {
+			t.Errorf("%s ran %d times across the proxy pair, want exactly 1", name, runs)
+		}
+	}
+}
