@@ -17,9 +17,9 @@
 //	streamd -store-dir /var/lib/streamd -fsck
 //
 // With -proxy-of (or -upstreams, a comma-separated failover list) the
-// process runs as the intermediary proxy node instead, pulling raw
-// streams from the upstream servers — each guarded by a circuit breaker —
-// and annotating on the fly. With -peers the node joins a sharded
+// process runs as the intermediary proxy node instead, pulling each clip
+// untouched from the upstream servers over the fetch-artifact RPC — each
+// upstream guarded by a circuit breaker — and annotating on the fly. With -peers the node joins a sharded
 // serving cluster: artifact ownership is rendezvous-hashed across self
 // plus the peer list, local misses fill from the shard owner over the
 // internal fetch-artifact RPC before falling back to local compute, and

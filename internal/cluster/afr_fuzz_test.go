@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// The AFR1 framing faces other cluster nodes, which after a partition
-// or version skew can present arbitrarily desynchronised bytes. The
+// The AFR2 framing faces other cluster nodes and proxies, which after a
+// partition or version skew can present arbitrarily desynchronised
+// bytes. The
 // fuzzers hold the two parser invariants the cluster's safety rests on:
 // a hostile frame can fail a fetch but never panic, over-allocate, or —
 // for responses — hand back bytes whose checksum was not verified.
@@ -19,14 +20,22 @@ func FuzzReadFetchRequest(f *testing.F) {
 			f.Add(buf.Bytes())
 		}
 	}
+	traced := FetchRequest{Kind: "clip", Digest: "sunset", Quality: -1}
+	traced.Trace.Trace[0] = 0xab
+	traced.Trace.Span[7] = 0x01
+	traced.Trace.Sampled = true
 	seed(FetchRequest{Kind: "track", Digest: "deadbeef", Quality: -1, Clip: "sunset"})
 	seed(FetchRequest{Kind: "variant", Digest: "deadbeef", Suffix: "+g10q3", Quality: 3, Device: "oled", Clip: "x"})
 	seed(FetchRequest{Kind: "levels", Digest: "d", Device: "phone"})
-	f.Add([]byte("AFR1"))                      // magic only
-	f.Add([]byte("AFR1\x05trac"))              // truncated kind
-	f.Add([]byte("AFR1\xfftrack"))             // kind length over bound
-	f.Add([]byte("AFR1\x01k\xff\xffd"))        // digest length over bound
-	f.Add([]byte("RQS1\x80\x00\x03abc"))       // a client request, not a fetch
+	seed(traced)
+	f.Add([]byte("AFR2"))                                               // magic only
+	f.Add([]byte("AFR2\x05trac"))                                       // truncated kind
+	f.Add([]byte("AFR2\xfftrack"))                                      // kind length over bound
+	f.Add([]byte("AFR2\x01k\xff\xffd"))                                 // digest length over bound
+	f.Add([]byte("AFR2\x01k\x00\x01d\x00\x00\x00\x00\x00\xfe"))         // reserved flag bits set
+	f.Add([]byte("AFR2\x01k\x00\x01d\x00\x00\x00\x00\x00\x01\xab\x00")) // truncated trace context
+	f.Add([]byte("AFR1\x01k\x00\x01d\x00\x00\x00\x00\x00"))             // the retired version-1 framing
+	f.Add([]byte("RQS4\x80\x00\x03abc"))                                // a client request, not a fetch
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ReadFetchRequest(bytes.NewReader(data))
 		if err != nil {
@@ -77,10 +86,10 @@ func FuzzReadFetchResponse(f *testing.F) {
 	errBuf.Reset()
 	WriteFetchError(&errBuf, CodeUnavailable, "draining")
 	f.Add(errBuf.Bytes())
-	f.Add([]byte("AFO1\xff\xff\xff\xff"))       // hostile length
-	f.Add([]byte("AFO1\x00\x00\x00\x04ab"))     // truncated payload
-	f.Add([]byte("AFE1\x01\x00\x05no"))         // truncated error message
-	f.Add([]byte("ERR1\x00\x03bad"))            // wrong protocol family
+	f.Add([]byte("AFO1\xff\xff\xff\xff"))   // hostile length
+	f.Add([]byte("AFO1\x00\x00\x00\x04ab")) // truncated payload
+	f.Add([]byte("AFE1\x01\x00\x05no"))     // truncated error message
+	f.Add([]byte("ERR1\x00\x03bad"))        // wrong protocol family
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxBytes = 1 << 20
 		payload, err := ReadFetchResponse(bytes.NewReader(data), maxBytes)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/breaker"
+	"repro/internal/obs"
 )
 
 func TestRouteKeyExcludesVariantAxes(t *testing.T) {
@@ -143,6 +144,7 @@ func TestFetchRequestRoundTrip(t *testing.T) {
 	want := FetchRequest{
 		Kind: "variant", Digest: "deadbeef", Suffix: "+g10q3",
 		Quality: 2, Device: "oled-phone", Clip: "sunset",
+		Trace: obs.SpanContext{Trace: obs.TraceID{0x42}, Span: obs.SpanID{0x07}, Sampled: true},
 	}
 	var buf bytes.Buffer
 	if err := WriteFetchRequest(&buf, want); err != nil {

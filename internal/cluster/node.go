@@ -72,7 +72,7 @@ func New(cfg Config) (*Node, error) {
 		cfg.DialTimeout = 2 * time.Second
 	}
 	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = 15 * time.Second
+		cfg.FetchTimeout = DefaultFetchTimeout
 	}
 	brCfg := cfg.Breaker
 	if brCfg.Window == 0 {
@@ -81,6 +81,7 @@ func New(cfg Config) (*Node, error) {
 	n := &Node{cfg: cfg, self: cfg.Self, logFn: cfg.Logf}
 	n.members = append([]string{cfg.Self}, peers...)
 	n.peers = NewPeerSet(peers, brCfg, n.onBreakerChange, cfg.ProbeEvery, n.dialAddr, n.countProbe)
+	n.peers.fetchTimeout, n.peers.maxBytes = cfg.FetchTimeout, cfg.MaxArtifactBytes
 	return n, nil
 }
 
@@ -271,12 +272,11 @@ func (n *Node) Owner(kind, digest string) (addr string, self bool) {
 	return n.self, true
 }
 
-// Fetch retrieves one artifact's encoded bytes from the peer at addr,
-// guarded by that peer's breaker and the configured deadlines. A clean
-// remote miss (ErrNotFound) settles the breaker as a success — the
-// peer answered correctly — while checksum mismatches, framing errors
-// and timeouts count against it. Every error tells the caller to fall
-// back to local compute; wrong bytes are never returned.
+// Fetch retrieves one artifact's encoded bytes from the peer at addr
+// through the peer set's fetch client (see PeerSet.Fetch), under a
+// cluster.peer_fill span that the owner's work joins. Every error tells
+// the caller to fall back to local compute; wrong bytes are never
+// returned.
 func (n *Node) Fetch(ctx context.Context, addr string, req FetchRequest) (payload []byte, err error) {
 	sp := obs.StartSpan(ctx, "cluster.peer_fill")
 	defer sp.End()
@@ -291,35 +291,7 @@ func (n *Node) Fetch(ctx context.Context, addr string, req FetchRequest) (payloa
 			n.countFill()
 		}
 	}()
-	if _, member := n.peers.State(addr); !member {
-		return nil, fmt.Errorf("%w: %s is not a member", ErrPeerUnavailable, addr)
-	}
-	done, ok := n.peers.Allow(addr)
-	if !ok {
-		return nil, fmt.Errorf("%w: breaker open for %s", ErrPeerUnavailable, addr)
-	}
-	payload, err = n.fetchOnce(ctx, addr, req)
-	// A clean not-found is a healthy peer saying "compute it yourself";
-	// only transport, framing and integrity failures open the breaker.
-	done(err == nil || errors.Is(err, ErrNotFound))
-	return payload, err
-}
-
-func (n *Node) fetchOnce(ctx context.Context, addr string, req FetchRequest) ([]byte, error) {
-	conn, err := n.dialAddr(addr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: dial %s: %v", ErrPeerUnavailable, addr, err)
-	}
-	defer conn.Close()
-	deadline := time.Now().Add(n.cfg.FetchTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	conn.SetDeadline(deadline)
-	if err := WriteFetchRequest(conn, req); err != nil {
-		return nil, fmt.Errorf("%w: send to %s: %v", ErrPeerUnavailable, addr, err)
-	}
-	return ReadFetchResponse(conn, n.cfg.MaxArtifactBytes)
+	return n.peers.Fetch(obs.WithSpanContext(ctx, sp.SpanContext()), addr, req)
 }
 
 // fillFailureReason buckets a fetch error for the failure counter.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/breaker"
+	"repro/internal/obs"
 )
 
 // fakeClock is a breaker clock tests advance by hand.
@@ -271,5 +273,26 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPeerSetFetchCarriesTrace: the fetch client stamps the caller's
+// span context on the request, so the serving node's work joins the
+// caller's trace.
+func TestPeerSetFetchCarriesTrace(t *testing.T) {
+	got := make(chan obs.SpanContext, 1)
+	peer := fetchServer(t, func(conn net.Conn, req FetchRequest) {
+		got <- req.Trace
+		WriteFetchResponse(conn, []byte("clip bytes"))
+	})
+	dial := func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+	s := NewPeerSet([]string{peer}, DefaultBreakerConfig(), nil, 0, dial, nil)
+	sc := obs.SpanContext{Trace: obs.TraceID{0xab}, Span: obs.SpanID{0x01}, Sampled: true}
+	ctx := obs.WithSpanContext(context.Background(), sc)
+	if _, err := s.Fetch(ctx, peer, FetchRequest{Kind: "clip", Digest: "night", Quality: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if tr := <-got; tr != sc {
+		t.Fatalf("peer saw span context %+v, want %+v", tr, sc)
 	}
 }

@@ -2,7 +2,7 @@
 // serving fleet. Rendezvous (highest-random-weight) hashing over the
 // configured member list assigns each artifact key to exactly one
 // shard owner; a non-owner that misses its local cache and store fills
-// from the owner over a small fetch-artifact RPC (the AFR1 framing in
+// from the owner over a small fetch-artifact RPC (the AFR2 framing in
 // afr.go) instead of recomputing, so each artifact is computed once
 // fleet-wide. Membership is churn-tolerant by construction: rendezvous
 // hashing moves only the keys owned by a departed node, per-peer

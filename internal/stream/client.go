@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -358,7 +359,6 @@ func (c *Client) attempt(ctx context.Context, s *session, addr, clip string) (re
 		Clip:       clip,
 		Quality:    s.quality,
 		Device:     c.Device.Name,
-		Mode:       ModeAnnotated,
 		StartFrame: s.emitted,
 		Adaptive:   c.Ladder != nil,
 		// Hand the attempt span's context across the wire so the
@@ -527,7 +527,7 @@ func (c *Client) openStream(s *session, cr *countingReader, req Request) (*conta
 	if remoteErr != nil {
 		return nil, hdr, nil, 0, remoteErr
 	}
-	reader, err := container.NewReader(io.MultiReader(&sliceReader{b: magic[:]}, cr))
+	reader, err := container.NewReader(io.MultiReader(bytes.NewReader(magic[:]), cr))
 	if err != nil {
 		return nil, hdr, nil, 0, classifyStreamErr(err)
 	}

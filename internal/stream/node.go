@@ -10,22 +10,61 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/anncache"
 	"repro/internal/annstore"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
-// nodeCore is the serving substrate the Server and Proxy share: one
-// process that accepts connections, dispatches each by its 4-byte
-// magic (client sessions vs peer artifact fetches), owns the artifact
-// cache/store tier, and drains cleanly. Embedding it lets a single
+// Per-connection deadlines of every serving node: handshakeTimeout
+// bounds reading the negotiation request, and writeTimeout is re-armed
+// before every write, so a client that stops draining its socket
+// cannot pin a session goroutine.
+const (
+	handshakeTimeout = 10 * time.Second
+	writeTimeout     = 30 * time.Second
+)
+
+// clipEntry is one resolved clip: its catalogue name, decoded source
+// and content digest. stale marks a proxy's last good copy, served
+// because every upstream failed.
+type clipEntry struct {
+	name   string
+	src    core.Source
+	digest string
+	stale  bool
+}
+
+// catalogue maps a clip name to its source and content digest — the
+// one thing the server and proxy roles differ in. Errors for clips the
+// catalogue does not know wrap cluster.ErrNotFound.
+type catalogue interface {
+	// lookup resolves a client's clip name.
+	lookup(ctx context.Context, name string) (clipEntry, error)
+	// byDigest resolves a peer fetch's content digest, starting from
+	// the requester's clip-name hint.
+	byDigest(ctx context.Context, hint, digest string) (clipEntry, error)
+	// stored returns a clip this node holds at rest — the source of a
+	// "clip" fetch. A proxy stores nothing.
+	stored(name string) (clipEntry, bool)
+}
+
+// nodeCore is the serving node the Server and Proxy share: one process
+// that accepts connections, dispatches each by its 4-byte magic (client
+// sessions vs peer artifact fetches), answers both through one session
+// handler and one fetch resolver over its catalogue (server.go, beside
+// the send path), owns the artifact cache/store tier, and drains
+// cleanly. Embedding it lets a single
 // streamd node simultaneously serve clients, fetch artifacts from
 // cluster peers, and answer peer fetches over the same listener.
 type nodeCore struct {
-	// role labels logs and metrics ("server" or "proxy").
+	// role labels logs, metrics and session spans ("server" or "proxy").
 	role string
+	cat  catalogue
+	enc  EncodeConfig
 
 	logMu sync.Mutex
 	logFn func(format string, args ...any)
@@ -62,23 +101,19 @@ type nodeCore struct {
 	annWorkers int
 
 	// cnode, when set, shards artifact ownership across the member
-	// list: local misses fill from the shard owner before computing,
-	// and incoming AFR1 frames are answered through resolveFetch.
+	// list: local misses fill from the shard owner before computing.
 	cnode *cluster.Node
 	// upstreams is the proxy's breaker-guarded upstream origins in
 	// failover order (nil for a server). Its recovery prober runs,
 	// like cnode's, from serve until drain.
 	upstreams *cluster.PeerSet
-	// resolveFetch produces the encoded bytes of a requested artifact
-	// for a peer (role-specific: the server resolves from its catalog,
-	// the proxy through its upstream fetch path).
-	resolveFetch func(ctx context.Context, req cluster.FetchRequest) ([]byte, error)
 }
 
-// initCore readies the embedded substrate (called from the role
+// initCore readies the embedded node (called from the role
 // constructors).
-func (n *nodeCore) initCore(role string) {
+func (n *nodeCore) initCore(role string, cat catalogue) {
 	n.role = role
+	n.cat = cat
 	n.logFn = log.Printf
 	n.ctx, n.cancel = context.WithCancel(context.Background())
 	n.drainCh = make(chan struct{})
@@ -146,8 +181,8 @@ func (n *nodeCore) SetStore(st *annstore.Store) {
 
 // SetCluster joins the node to a sharded serving cluster: artifact
 // misses route through cn's rendezvous hash and fill from the shard
-// owner, and the listener answers peer AFR1 fetches. The node starts
-// cn's health prober and stops it on drain. Call before Listen.
+// owner. (Every node answers peer fetches, clustered or not.) The node
+// starts cn's health prober and stops it on drain. Call before Listen.
 func (n *nodeCore) SetCluster(cn *cluster.Node) {
 	n.cnode = cn
 	if cn == nil {
@@ -323,18 +358,19 @@ func (n *nodeCore) Ready() error {
 	return nil
 }
 
-// serveFetch answers one peer AFR1 fetch on a connection whose magic
-// has already been consumed: resolve the artifact through the role's
-// resolver and write it back CRC-trailed, or a clean typed failure.
-// Resolver errors are normal cluster weather (unknown digest, encoder
-// mismatch, upstream down) — the requester falls back to computing
-// locally — so they answer the peer rather than erroring the session.
+// serveFetch answers one peer AFR2 fetch on a connection whose magic
+// has already been consumed: resolve the artifact and write it back
+// CRC-trailed, or a clean typed failure. Resolver errors are normal
+// cluster weather (unknown digest, encoder mismatch, upstream down) —
+// the requester falls back to computing locally — so they answer the
+// peer rather than erroring the session. A request carrying the
+// requester's span context joins its trace.
 func (n *nodeCore) serveFetch(ctx context.Context, conn net.Conn) error {
 	req, err := cluster.ReadFetchRequestBody(conn)
 	if err != nil {
 		return err
 	}
-	ctx, sp := obs.StartSpanCtx(ctx, "cluster.fetch_serve")
+	ctx, sp := obs.StartSpanCtx(obs.WithSpanContext(ctx, req.Trace), "cluster.fetch_serve")
 	defer sp.End()
 	sp.SetAttr("kind", req.Kind)
 	if r := n.obsReg; r != nil {
@@ -342,12 +378,7 @@ func (n *nodeCore) serveFetch(ctx context.Context, conn net.Conn) error {
 			"Peer fetch-artifact requests answered (success or clean refusal).",
 			obs.L("role", n.role), obs.L("kind", req.Kind)).Inc()
 	}
-	resolve := n.resolveFetch
-	if resolve == nil || n.cnode == nil {
-		sp.SetAttr("error", "not clustered")
-		return cluster.WriteFetchError(conn, cluster.CodeUnavailable, "node is not clustered")
-	}
-	payload, err := resolve(ctx, req)
+	payload, err := n.resolveFetchRequest(ctx, req)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		code := uint8(cluster.CodeUnavailable)

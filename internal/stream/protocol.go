@@ -20,18 +20,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Mode selects what the server sends.
-type Mode uint8
-
-const (
-	// ModeAnnotated requests an annotated, compensated stream (what
-	// clients use).
-	ModeAnnotated Mode = iota
-	// ModeRaw requests the stored stream untouched (what a proxy asks an
-	// upstream server for, so it can do the processing itself).
-	ModeRaw
-)
-
 // Request is the negotiation message a client opens a session with.
 type Request struct {
 	Clip string
@@ -40,7 +28,6 @@ type Request struct {
 	// Device is the client's device name; the server uses it to log and
 	// could use it to resolve device-specific backlight levels.
 	Device string
-	Mode   Mode
 	// StartFrame asks the server to start the stream at this frame
 	// index instead of 0 (session resume). The server rounds
 	// down to the nearest I-frame and reports the actual start via the
@@ -67,10 +54,6 @@ const (
 	reqFlagAdaptive = 1 << 1 // session negotiates mid-stream quality switches
 )
 
-// traceFlagSampled is the sampled bit inside the trace context's own
-// flags byte (mirrors W3C traceparent).
-const traceFlagSampled = 1 << 0
-
 // ErrProtocol reports malformed protocol traffic.
 var ErrProtocol = errors.New("stream: protocol error")
 
@@ -93,9 +76,10 @@ var (
 // ReadResponseMagic maps it back to ErrOverCapacity.
 const overCapacityMsg = "over capacity"
 
-// WriteRequest serialises the negotiation request: magic, quality,
-// mode, clip, device, 4-byte start frame, a flags byte, and the 25-byte
-// trace context when the request carries one.
+// WriteRequest serialises the negotiation request: magic, quality, a
+// reserved mode byte (always 0), clip, device, 4-byte start frame, a
+// flags byte, and the 25-byte trace context when the request carries
+// one.
 func WriteRequest(w io.Writer, r Request) error {
 	if len(r.Clip) > 255 || len(r.Device) > 255 {
 		return fmt.Errorf("%w: name too long", ErrProtocol)
@@ -104,7 +88,7 @@ func WriteRequest(w io.Writer, r Request) error {
 		return fmt.Errorf("%w: quality %v outside [0,1]", ErrProtocol, r.Quality)
 	}
 	buf := append([]byte{}, reqMagic[:]...)
-	buf = append(buf, uint8(r.Quality*255+0.5), uint8(r.Mode), uint8(len(r.Clip)))
+	buf = append(buf, uint8(r.Quality*255+0.5), 0, uint8(len(r.Clip)))
 	buf = append(buf, r.Clip...)
 	buf = append(buf, uint8(len(r.Device)))
 	buf = append(buf, r.Device...)
@@ -118,13 +102,7 @@ func WriteRequest(w io.Writer, r Request) error {
 	}
 	buf = append(buf, flags)
 	if r.Trace.Valid() {
-		buf = append(buf, r.Trace.Trace[:]...)
-		buf = append(buf, r.Trace.Span[:]...)
-		var tf uint8
-		if r.Trace.Sampled {
-			tf |= traceFlagSampled
-		}
-		buf = append(buf, tf)
+		buf = obs.AppendTraceContext(buf, r.Trace)
 	}
 	_, err := w.Write(buf)
 	return err
@@ -151,13 +129,12 @@ func readRequestBody(magic [4]byte, r io.Reader) (Request, error) {
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return Request{}, fmt.Errorf("%w: short request: %v", ErrProtocol, err)
 	}
-	req := Request{
-		Quality: float64(head[0]) / 255,
-		Mode:    Mode(head[1]),
-	}
-	if req.Mode != ModeAnnotated && req.Mode != ModeRaw {
+	// The mode byte is reserved: every session is annotated, and a
+	// proxy fetches its source clip over the cluster fetch RPC instead.
+	if head[1] != 0 {
 		return Request{}, fmt.Errorf("%w: unknown mode %d", ErrProtocol, head[1])
 	}
+	req := Request{Quality: float64(head[0]) / 255}
 	clip := make([]byte, head[2])
 	if _, err := io.ReadFull(r, clip); err != nil {
 		return Request{}, fmt.Errorf("%w: short clip name: %v", ErrProtocol, err)
@@ -179,17 +156,9 @@ func readRequestBody(magic [4]byte, r io.Reader) (Request, error) {
 	req.StartFrame = binary.BigEndian.Uint32(tail[:4])
 	req.Adaptive = tail[4]&reqFlagAdaptive != 0
 	if tail[4]&reqFlagTrace != 0 {
-		var tc [25]byte
-		if _, err := io.ReadFull(r, tc[:]); err != nil {
+		var err error
+		if req.Trace, err = obs.ReadTraceContext(r); err != nil {
 			return Request{}, fmt.Errorf("%w: short trace context: %v", ErrProtocol, err)
-		}
-		req.Trace.Trace = obs.TraceID(tc[:16])
-		req.Trace.Span = obs.SpanID(tc[16:24])
-		req.Trace.Sampled = tc[24]&traceFlagSampled != 0
-		if !req.Trace.Valid() {
-			// A present-but-zero context is silently dropped rather
-			// than parenting spans under a bogus identity.
-			req.Trace = obs.SpanContext{}
 		}
 	}
 	return req, nil

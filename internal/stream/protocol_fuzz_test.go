@@ -14,19 +14,18 @@ import (
 // trip unchanged.
 func FuzzReadRequest(f *testing.F) {
 	traced := Request{
-		Clip: "night", Quality: 0.10, Device: "ipaq5555",
-		Mode: ModeAnnotated, StartFrame: 7,
+		Clip: "night", Quality: 0.10, Device: "ipaq5555", StartFrame: 7,
 	}
 	traced.Trace.Trace[0] = 0xab
 	traced.Trace.Span[7] = 0x01
 	traced.Trace.Sampled = true
 	for _, req := range []Request{
-		{Clip: "night", Quality: 0.10, Device: "ipaq5555", Mode: ModeAnnotated},
-		{Clip: "n", Quality: 1, Mode: ModeRaw},
-		{Clip: "night", Quality: 0.10, Device: "ipaq5555", Mode: ModeAnnotated, StartFrame: 7},
-		{Clip: "day", Quality: 0.5, Device: "ipaq5555", Mode: ModeAnnotated},
-		{Clip: "night", Quality: 0.10, Device: "ipaq5555", Mode: ModeAnnotated, Adaptive: true},
-		{Clip: "night", Quality: 0.05, Device: "ipaq5555", Mode: ModeAnnotated, Adaptive: true, StartFrame: 12},
+		{Clip: "night", Quality: 0.10, Device: "ipaq5555"},
+		{Clip: "n", Quality: 1},
+		{Clip: "night", Quality: 0.10, Device: "ipaq5555", StartFrame: 7},
+		{Clip: "day", Quality: 0.5, Device: "ipaq5555"},
+		{Clip: "night", Quality: 0.10, Device: "ipaq5555", Adaptive: true},
+		{Clip: "night", Quality: 0.05, Device: "ipaq5555", Adaptive: true, StartFrame: 12},
 		traced,
 	} {
 		var buf bytes.Buffer
@@ -120,7 +119,7 @@ func FuzzReadQualitySwitch(f *testing.F) {
 func TestRequestV4Framing(t *testing.T) {
 	var buf bytes.Buffer
 	want := Request{Clip: "night", Quality: 0.10, Device: "ipaq5555",
-		Mode: ModeAnnotated, Adaptive: true, StartFrame: 3}
+		Adaptive: true, StartFrame: 3}
 	want.Trace.Trace[15] = 0x42
 	want.Trace.Span[0] = 0x07
 	if err := WriteRequest(&buf, want); err != nil {
@@ -140,10 +139,10 @@ func TestRequestV4Framing(t *testing.T) {
 	// A fixed session from frame zero without a trace still sends the
 	// start frame and an empty flags byte.
 	var pb bytes.Buffer
-	if err := WriteRequest(&pb, Request{Clip: "night", Quality: 0.2, Mode: ModeAnnotated}); err != nil {
+	if err := WriteRequest(&pb, Request{Clip: "night", Quality: 0.2}); err != nil {
 		t.Fatal(err)
 	}
-	if wire := rqs4(51, ModeAnnotated, "night", "", 0, 0); !bytes.Equal(pb.Bytes(), wire) {
+	if wire := rqs4(51, 0, "night", "", 0, 0); !bytes.Equal(pb.Bytes(), wire) {
 		t.Errorf("plain request framed as %q, want %q", pb.Bytes(), wire)
 	}
 	if got, err := ReadRequest(&pb); err != nil || got.Adaptive || got.Trace.Valid() {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/anncache"
-	"repro/internal/annotation"
 	"repro/internal/breaker"
 	"repro/internal/cluster"
 	"repro/internal/codec"
@@ -17,24 +17,23 @@ import (
 	"repro/internal/core"
 	"repro/internal/frame"
 	"repro/internal/obs"
-	"repro/internal/scene"
 )
 
 // Proxy is the optional intermediary of Figure 1: "a high-end machine with
 // the ability to process the video stream in real-time, on-the-fly". It
-// pulls the raw stream from an upstream server, performs the annotation
-// analysis and compensation itself, and serves clients exactly what the
-// annotating server would have — demonstrating that "either the proxy or
-// the server node suffices" (§3).
+// is a serving node like the Server — same session handler, same fetch
+// resolver — whose catalogue fetches each clip untouched from an
+// upstream server and performs the annotation analysis and compensation
+// itself, serving clients exactly what the annotating server would
+// have: "either the proxy or the server node suffices" (§3).
 //
 // The proxy assumes the upstream tier is unreliable: it can be given
 // several upstream origins in failover order, each guarded by a circuit
 // breaker — a dead or flapping origin is skipped until its half-open
-// probe succeeds. Fetches carry dial and per-read deadlines and are
-// retried with backoff, and when every upstream is down a
-// previously-fetched copy of the clip is served stale rather than
-// failing the client. The accept/drain/cache plumbing lives in the
-// embedded nodeCore, shared with the Server.
+// probe succeeds. Clips move over the cluster fetch RPC (CRC-checked,
+// under a whole-exchange deadline), failed fetches are retried with
+// backoff, and when every upstream is down a previously-fetched copy of
+// the clip is served stale rather than failing the client.
 type Proxy struct {
 	nodeCore
 
@@ -42,7 +41,6 @@ type Proxy struct {
 	// upstreams), rebuilt whenever either changes before Listen.
 	brCfg      breaker.Config
 	probeEvery time.Duration
-	enc        EncodeConfig
 
 	upstreamLat     *obs.Histogram
 	upstreamRetries *obs.Counter
@@ -51,41 +49,23 @@ type Proxy struct {
 	probesTotal     *obs.Counter
 
 	// Upstream fetch behaviour.
-	retry        RetryPolicy
-	dialTimeout  time.Duration
-	readTimeout  time.Duration
-	writeTimeout time.Duration
-	dial         func(network, addr string) (net.Conn, error)
+	retry RetryPolicy
+	dial  func(network, addr string) (net.Conn, error)
 }
 
-// proxyEntry is one cached upstream clip.
-type proxyEntry struct {
-	src    core.Source
-	track  *annotation.Track
-	digest string
-}
-
-// cost approximates the entry's resident bytes: the decoded frames
-// dominate (24 bytes per RGB pixel), plus the encoded track.
-func (e *proxyEntry) cost() int64 {
-	w, h := e.src.Size()
-	return int64(e.src.TotalFrames())*int64(w)*int64(h)*24 + int64(e.track.Size())
-}
+// upstreamDialTimeout bounds connecting to an upstream.
+const upstreamDialTimeout = 5 * time.Second
 
 // NewProxy builds a proxy over one or more upstream server addresses in
 // failover order: fetches go to the first upstream whose breaker admits
 // them, falling over to the next on failure.
 func NewProxy(upstreams ...string) *Proxy {
 	p := &Proxy{
-		retry:        RetryPolicy{MaxAttempts: 3},
-		brCfg:        cluster.DefaultBreakerConfig(),
-		dialTimeout:  5 * time.Second,
-		readTimeout:  10 * time.Second,
-		writeTimeout: 30 * time.Second,
-		probeEvery:   500 * time.Millisecond,
+		retry:      RetryPolicy{MaxAttempts: 3},
+		brCfg:      cluster.DefaultBreakerConfig(),
+		probeEvery: 500 * time.Millisecond,
 	}
-	p.initCore("proxy")
-	p.resolveFetch = p.resolveFetchRequest
+	p.initCore("proxy", p)
 	p.upstreams = p.newUpstreams(upstreams)
 	return p
 }
@@ -166,21 +146,6 @@ func (p *Proxy) SetRetryPolicy(r RetryPolicy) {
 	p.retry = r
 }
 
-// SetTimeouts overrides the upstream dial and per-read deadlines and the
-// client-facing per-write deadline. Zero keeps the current value. Call
-// before Listen.
-func (p *Proxy) SetTimeouts(dial, read, write time.Duration) {
-	if dial > 0 {
-		p.dialTimeout = dial
-	}
-	if read > 0 {
-		p.readTimeout = read
-	}
-	if write > 0 {
-		p.writeTimeout = write
-	}
-}
-
 // SetDial overrides the upstream dial function (tests inject faulty or
 // tracked links).
 func (p *Proxy) SetDial(dial func(network, addr string) (net.Conn, error)) {
@@ -202,8 +167,9 @@ func (p *Proxy) Listen(addr string) (net.Addr, error) {
 // the upstream recovery prober runs until the proxy drains.
 func (p *Proxy) Serve(ln net.Listener) { p.serve(ln, p.clientSession) }
 
-// clientSession adapts handle to the shared session wrapper.
-func (p *Proxy) clientSession(conn net.Conn) error { return p.handle(conn) }
+// clientSession adapts the shared handler to the session wrapper (a
+// proxy has no admission queue).
+func (p *Proxy) clientSession(conn net.Conn) error { return p.handle(conn, 0) }
 
 // Ready implements the readiness contract for /readyz: nil while the
 // proxy is accepting, not draining, and at least one upstream breaker is
@@ -218,179 +184,62 @@ func (p *Proxy) Ready() error {
 	return nil
 }
 
-func (p *Proxy) handle(rawConn net.Conn) error {
-	ctx := obs.WithRegistry(p.ctx, p.obsReg)
-	conn := &deadlineConn{Conn: rawConn, readTimeout: p.readTimeout, writeTimeout: p.writeTimeout}
-	// Dispatch by magic: peer artifact fetches (AFR1) answer through
-	// the cluster path, everything else is a client negotiation.
-	var magic [4]byte
-	if _, err := io.ReadFull(conn, magic[:]); err != nil {
-		WriteError(conn, "bad request")
-		return fmt.Errorf("%w: short request: %v", ErrProtocol, err)
-	}
-	if magic == cluster.FetchMagic {
-		return p.serveFetch(ctx, conn)
-	}
-	req, err := readRequestBody(magic, conn)
-	if err != nil {
-		WriteError(conn, "bad request")
-		return err
-	}
-	// Join the client's trace or root one; everything below — the
-	// upstream fetch, the annotation pipeline, the artifact lookups —
-	// hangs off this session span.
-	if req.Trace.Valid() {
-		ctx = obs.WithSpanContext(ctx, req.Trace)
-	}
-	ctx, sp := obs.StartSpanCtx(ctx, "proxy.session")
-	defer sp.End()
-	sp.SetAttr("clip", req.Clip)
-	sp.SetAttr("device", req.Device)
-	if req.Mode == ModeRaw {
-		// The proxy only holds the clip it annotated itself; answering a
-		// raw request with that stream would make a downstream proxy
-		// compensate it a second time.
-		WriteError(conn, "raw mode not served by a proxy")
-		sp.SetAttr("error", "raw mode")
-		return fmt.Errorf("raw mode request for %q refused", req.Clip)
-	}
-	entry, stale, err := p.fetchSource(ctx, req.Clip, req.Device)
-	if err != nil {
-		WriteError(conn, err.Error())
-		sp.SetAttr("error", err.Error())
-		return err
-	}
-	if stale {
-		p.staleServes.Inc()
-		sp.SetAttr("stale", "true")
-		p.logf("stream proxy: upstream down, serving %q stale", req.Clip)
-	}
-	track := entry.track
-	qi := track.QualityIndex(req.Quality)
-	cfg := p.enc.withDefaults(entry.src.FPS())
-	getVariant := func(ctx context.Context, q int) (*variant, error) {
-		return variantFor(ctx, p.tierFor(req.Clip), entry.digest, entry.src, track, q, cfg)
-	}
-	v, err := getVariant(ctx, qi)
-	if err != nil {
-		WriteError(conn, "encoding failed")
-		sp.SetAttr("error", "encoding failed")
-		return err
-	}
-	from, err := resumePoint(v.frames, req)
-	if err != nil {
-		WriteError(conn, err.Error())
-		sp.SetAttr("error", err.Error())
-		return err
-	}
-	if from > 0 {
-		p.sm.resumes.Inc()
-	}
-	levels := deviceLevelsChunk(ctx, p.tierFor(req.Clip), entry.digest, req.Device, track)
-	if req.Adaptive {
-		sent, switches, aerr := sendAdaptive(ctx, conn, entry.src, track, v, getVariant, levels, from, qi,
-			p.obsReg, "proxy", p.sm.framesSent, p.sm.bytesSent)
-		if aerr == nil {
-			accountSessionPower(p.obsReg, "proxy", req, entry.src, track, qi, from, sent, switches)
-		} else {
-			sp.SetAttr("error", aerr.Error())
-		}
-		return aerr
-	}
-	sent, err := sendVariant(ctx, conn, entry.src, track, v, levels, from, p.sm.framesSent, p.sm.bytesSent)
-	if err == nil {
-		accountSessionPower(p.obsReg, "proxy", req, entry.src, track, qi, from, sent, nil)
-	} else {
-		sp.SetAttr("error", err.Error())
-	}
-	return err
-}
-
-// resolveFetchRequest answers a peer's AFR1 artifact fetch: the proxy
-// revalidates the clip against its upstreams (or serves its stale
-// copy), verifies the digest matches what the requester wants, and
-// resolves through its own tier. An unreachable upstream with no stale
-// copy is a clean unavailable — the requester falls back to its own
-// compute path.
-func (p *Proxy) resolveFetchRequest(ctx context.Context, req cluster.FetchRequest) ([]byte, error) {
-	if req.Clip == "" {
-		return nil, fmt.Errorf("%w: proxy resolution needs a clip hint", cluster.ErrNotFound)
-	}
-	entry, stale, err := p.fetchSource(ctx, req.Clip, req.Device)
-	if err != nil {
-		return nil, fmt.Errorf("%w: upstream fetch of %q: %v", cluster.ErrPeerUnavailable, req.Clip, err)
-	}
-	if stale {
-		p.staleServes.Inc()
-	}
-	if entry.digest != req.Digest {
-		return nil, fmt.Errorf("%w: clip %q content digest mismatch", cluster.ErrNotFound, req.Clip)
-	}
-	cfg := p.enc.withDefaults(entry.src.FPS())
-	switch req.Kind {
-	case "track":
-		return trackCodec.encode(entry.track)
-	case "levels":
-		b := deviceLevelsChunk(ctx, p.tierFor(req.Clip), req.Digest, req.Device, entry.track)
-		if b == nil {
-			return nil, fmt.Errorf("%w: unknown device %q", cluster.ErrNotFound, req.Device)
-		}
-		return b, nil
-	case "variant":
-		if req.Suffix != encSig(cfg) {
-			return nil, fmt.Errorf("%w: encoder config %s here, %s requested", cluster.ErrNotFound, encSig(cfg), req.Suffix)
-		}
-		v, err := variantFor(ctx, p.tierFor(req.Clip), entry.digest, entry.src, entry.track, req.Quality, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return encodeVariantArtifact(v)
-	case "raw":
-		if req.Suffix != encSig(cfg) {
-			return nil, fmt.Errorf("%w: encoder config %s here, %s requested", cluster.ErrNotFound, encSig(cfg), req.Suffix)
-		}
-		v, err := rawVariantFor(ctx, p.tierFor(req.Clip), entry.digest, entry.src, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return encodeVariantArtifact(v)
-	}
-	return nil, fmt.Errorf("%w: unknown artifact kind %q", cluster.ErrNotFound, req.Kind)
-}
-
-// fetchSource returns the clip's decoded source and annotation track.
-// Every request revalidates against the upstream (cache.Do: concurrent
-// sessions share one in-flight fetch, but a cached copy never suppresses
-// the fetch), and only when every retry fails does it degrade to the
-// stale cached copy.
-func (p *Proxy) fetchSource(ctx context.Context, clip, device string) (*proxyEntry, bool, error) {
-	key := anncache.Key{Kind: "clip", Digest: clip, Quality: -1}
+// lookup is the proxy's catalogue: it fetches the clip from the
+// upstreams on every request (concurrent sessions share one in-flight
+// fetch, but a cached copy never suppresses it), and only when every
+// retry fails does it degrade to the stale cached copy.
+func (p *Proxy) lookup(ctx context.Context, name string) (clipEntry, error) {
+	key := anncache.Key{Kind: "clip", Digest: name, Quality: -1}
 	v, err := p.cache.Do(key, func() (any, int64, error) {
-		e, err := p.fetchAndAnnotate(ctx, clip, device)
+		c, err := p.fetchClip(ctx, name)
 		if err != nil {
 			return nil, 0, err
 		}
-		return e, e.cost(), nil
+		w, h := c.src.Size()
+		// The decoded frames dominate: 24 bytes per RGB pixel.
+		return c, int64(c.src.TotalFrames()) * int64(w) * int64(h) * 24, nil
 	})
 	if err != nil {
 		if p.ctx.Err() != nil {
-			return nil, false, p.ctx.Err()
+			return clipEntry{}, p.ctx.Err()
 		}
-		// Upstream is down: degrade to the last good copy if we have one.
+		// No upstream delivered the clip: degrade to the last good copy
+		// if we have one.
 		if sv, ok := p.cache.Peek(key); ok {
-			return sv.(*proxyEntry), true, nil
+			p.staleServes.Inc()
+			p.logf("stream proxy: upstream down, serving %q stale", name)
+			c := sv.(clipEntry)
+			c.stale = true
+			return c, nil
 		}
-		return nil, false, err
+		return clipEntry{}, err
 	}
-	return v.(*proxyEntry), false, nil
+	return v.(clipEntry), nil
 }
 
-// fetchAndAnnotate pulls the clip from the upstream with bounded retries
-// and annotates it (the proxy's transcoder role). The track is cached by
-// content digest, so refetching unchanged content skips re-annotation —
-// and in a cluster, the track's shard owner is asked before the local
-// pipeline runs.
-func (p *Proxy) fetchAndAnnotate(ctx context.Context, clip, device string) (*proxyEntry, error) {
+// byDigest resolves a peer fetch through the upstream path: the hint
+// names the clip to fetch, and its content must match the digest.
+func (p *Proxy) byDigest(ctx context.Context, hint, digest string) (clipEntry, error) {
+	if hint == "" {
+		return clipEntry{}, fmt.Errorf("%w: proxy resolution needs a clip hint", cluster.ErrNotFound)
+	}
+	c, err := p.lookup(ctx, hint)
+	if err != nil {
+		return clipEntry{}, err
+	}
+	if c.digest != digest {
+		return clipEntry{}, fmt.Errorf("%w: clip %q content digest mismatch", cluster.ErrNotFound, hint)
+	}
+	return c, nil
+}
+
+// stored reports nothing: the proxy holds only clips it fetched.
+func (p *Proxy) stored(string) (clipEntry, bool) { return clipEntry{}, false }
+
+// fetchClip pulls the clip from the upstreams with bounded retries. A
+// clean not-found is the upstream's answer, not a failure: it is
+// returned at once, without a retry.
+func (p *Proxy) fetchClip(ctx context.Context, name string) (clipEntry, error) {
 	retry := p.retry.withDefaults()
 	var lastErr error
 	for attempt := 0; attempt < retry.MaxAttempts; attempt++ {
@@ -399,78 +248,53 @@ func (p *Proxy) fetchAndAnnotate(ctx context.Context, clip, device string) (*pro
 			select {
 			case <-time.After(retry.delay(attempt, newBackoffRNG())):
 			case <-p.ctx.Done():
-				return nil, p.ctx.Err()
+				return clipEntry{}, p.ctx.Err()
 			}
 		}
 		if p.ctx.Err() != nil {
-			return nil, p.ctx.Err()
+			return clipEntry{}, p.ctx.Err()
 		}
 		start := time.Now()
-		src, err := p.fetchOnce(ctx, clip, device)
+		src, err := p.fetchOnce(ctx, name)
+		if errors.Is(err, cluster.ErrNotFound) {
+			return clipEntry{}, err
+		}
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		p.upstreamLat.Observe(time.Since(start).Seconds())
-		dg := core.SourceDigest(src)
-		tAny, err := p.tierFor(clip).getOrCompute(ctx,
-			anncache.Key{Kind: "track", Digest: dg, Quality: -1}, "", trackCodec,
-			func(ctx context.Context) (any, int64, error) {
-				t, _, err := core.AnnotatePipeline(ctx,
-					src, scene.DefaultConfig(src.FPS()), nil,
-					core.AnnotateOptions{Workers: p.annWorkers})
-				if err != nil {
-					return nil, 0, err
-				}
-				return t, int64(t.Size()), nil
-			})
-		if err != nil {
-			return nil, fmt.Errorf("annotation failed: %w", err)
-		}
-		return &proxyEntry{src: src, track: tAny.(*annotation.Track), digest: dg}, nil
+		return clipEntry{name: name, src: src, digest: core.SourceDigest(src)}, nil
 	}
-	return nil, fmt.Errorf("upstream unreachable after %d attempts: %v", retry.MaxAttempts, lastErr)
+	return clipEntry{}, fmt.Errorf("upstream unreachable after %d attempts: %w", retry.MaxAttempts, lastErr)
 }
 
-// fetchOnce tries each upstream in failover order, skipping any whose
-// breaker rejects the call; each attempt settles its upstream's breaker
-// with the outcome. A success from a non-primary upstream counts as a
-// failover.
-func (p *Proxy) fetchOnce(ctx context.Context, clip, device string) (core.Source, error) {
+// fetchOnce tries each upstream in failover order until one answers
+// cleanly; the peer set skips and settles each upstream's breaker. A
+// success from a non-primary upstream counts as a failover.
+func (p *Proxy) fetchOnce(ctx context.Context, name string) (core.Source, error) {
 	addrs := p.upstreams.Addrs()
 	if len(addrs) == 0 {
 		return nil, errors.New("no upstreams configured")
 	}
 	var lastErr error
-	tried := 0
 	for i, addr := range addrs {
-		done, ok := p.upstreams.Allow(addr)
-		if !ok {
-			continue
-		}
-		tried++
-		src, err := p.fetchRaw(ctx, addr, clip, device)
-		done(err == nil)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if i > 0 && p.failovers != nil {
+		src, err := p.fetchFrom(ctx, addr, name)
+		if err == nil && i > 0 {
 			p.failovers.Inc()
 		}
-		return src, nil
-	}
-	if tried == 0 {
-		return nil, fmt.Errorf("all %d upstreams unavailable (breakers open)", len(addrs))
+		if err == nil || errors.Is(err, cluster.ErrNotFound) {
+			return src, err
+		}
+		lastErr = err
 	}
 	return nil, lastErr
 }
 
-// fetchRaw pulls the unannotated stream from one upstream and buffers
-// the decoded frames. The upstream connection is closed on every path,
-// and each read carries a deadline so a hung upstream fails the attempt
-// instead of wedging the session.
-func (p *Proxy) fetchRaw(ctx context.Context, addr, clip, device string) (src core.Source, err error) {
+// fetchFrom fetches the clip's untouched stream from one upstream as a
+// "clip" artifact and decodes it. The fetch carries this span's
+// context, so the upstream's work joins the session's trace.
+func (p *Proxy) fetchFrom(ctx context.Context, addr, name string) (src core.Source, err error) {
 	fctx, sp := obs.StartSpanCtx(ctx, "proxy.fetch_raw")
 	defer sp.End()
 	sp.SetAttr("upstream", addr)
@@ -479,29 +303,17 @@ func (p *Proxy) fetchRaw(ctx context.Context, addr, clip, device string) (src co
 			sp.SetAttr("error", err.Error())
 		}
 	}()
-	rawConn, err := p.dialAddr(addr)
-	if err != nil {
-		return nil, fmt.Errorf("upstream unreachable: %w", err)
-	}
-	// The single close point for every return path below — the audit
-	// for upstream connection leaks hangs off this defer.
-	defer rawConn.Close()
-	conn := &deadlineConn{Conn: rawConn, readTimeout: p.readTimeout, writeTimeout: p.writeTimeout}
-	// Propagate the trace across the hop: the request carries this
-	// fetch span's context so the upstream server.session parents under
-	// it.
-	req := Request{Clip: clip, Device: device, Mode: ModeRaw, Trace: obs.SpanContextFrom(fctx)}
-	if err := WriteRequest(conn, req); err != nil {
-		return nil, err
-	}
-	magic, remoteErr, err := ReadResponseMagic(conn)
+	payload, err := p.upstreams.Fetch(fctx, addr, cluster.FetchRequest{Kind: "clip", Digest: name, Quality: -1})
 	if err != nil {
 		return nil, err
 	}
-	if remoteErr != nil {
-		return nil, remoteErr
-	}
-	reader, err := container.NewReader(io.MultiReader(magicReader(magic), conn))
+	return decodeClip(payload)
+}
+
+// decodeClip decodes a "clip" payload — a container stream of the
+// untouched encoded frames — into an in-memory source.
+func decodeClip(payload []byte) (core.Source, error) {
+	reader, err := container.NewReader(bytes.NewReader(payload))
 	if err != nil {
 		return nil, err
 	}
@@ -526,7 +338,7 @@ func (p *Proxy) fetchRaw(ctx context.Context, addr, clip, device string) (src co
 		mem.frames = append(mem.frames, f)
 	}
 	if len(mem.frames) == 0 {
-		return nil, fmt.Errorf("upstream sent empty stream")
+		return nil, errors.New("upstream sent empty stream")
 	}
 	if hdr.FrameCount > 0 && len(mem.frames) < hdr.FrameCount {
 		return nil, fmt.Errorf("%w: upstream sent %d of %d frames",
@@ -539,7 +351,7 @@ func (p *Proxy) dialAddr(addr string) (net.Conn, error) {
 	if p.dial != nil {
 		return p.dial("tcp", addr)
 	}
-	return net.DialTimeout("tcp", addr, p.dialTimeout)
+	return net.DialTimeout("tcp", addr, upstreamDialTimeout)
 }
 
 // memSource is a decoded in-memory clip.
@@ -552,16 +364,3 @@ func (m *memSource) Size() (int, int)         { return m.w, m.h }
 func (m *memSource) FPS() int                 { return m.fps }
 func (m *memSource) TotalFrames() int         { return len(m.frames) }
 func (m *memSource) Frame(i int) *frame.Frame { return m.frames[i] }
-
-func magicReader(m [4]byte) io.Reader { return &sliceReader{b: m[:]} }
-
-type sliceReader struct{ b []byte }
-
-func (s *sliceReader) Read(p []byte) (int, error) {
-	if len(s.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, s.b)
-	s.b = s.b[n:]
-	return n, nil
-}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/breaker"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/display"
 	"repro/internal/faults"
@@ -429,8 +430,9 @@ func TestServerShutdownForcesAfterDeadline(t *testing.T) {
 	}
 }
 
-// rawStreamSize measures the on-the-wire size of the clip's raw stream
-// (calibrates mid-stream reset schedules).
+// rawStreamSize measures the on-the-wire size of the clip's "clip"
+// fetch response, the untouched stream a proxy pulls (calibrates
+// mid-stream reset schedules).
 func rawStreamSize(t *testing.T, addr string) int64 {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -438,7 +440,7 @@ func rawStreamSize(t *testing.T, addr string) int64 {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteRequest(conn, Request{Clip: "night", Device: "measure", Mode: ModeRaw}); err != nil {
+	if err := cluster.WriteFetchRequest(conn, cluster.FetchRequest{Kind: "clip", Digest: "night", Quality: -1}); err != nil {
 		t.Fatal(err)
 	}
 	n, err := io.Copy(io.Discard, conn)

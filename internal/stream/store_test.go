@@ -101,7 +101,7 @@ func fetchAnnotated(t *testing.T, addr string) []byte {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	req := Request{Clip: "night", Quality: 0.10, Device: "ipaq5555", Mode: ModeAnnotated}
+	req := Request{Clip: "night", Quality: 0.10, Device: "ipaq5555"}
 	if err := WriteRequest(conn, req); err != nil {
 		t.Fatal(err)
 	}

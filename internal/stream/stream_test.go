@@ -37,7 +37,7 @@ func startServer(t *testing.T) (*Server, string) {
 
 func TestRequestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	want := Request{Clip: "night", Quality: 0.10, Device: "ipaq5555", Mode: ModeAnnotated}
+	want := Request{Clip: "night", Quality: 0.10, Device: "ipaq5555"}
 	if err := WriteRequest(&buf, want); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Clip != want.Clip || got.Device != want.Device || got.Mode != want.Mode {
+	if got.Clip != want.Clip || got.Device != want.Device {
 		t.Errorf("request round trip: %+v vs %+v", got, want)
 	}
 	if got.Quality < 0.09 || got.Quality > 0.11 {
@@ -168,9 +168,11 @@ func TestProxyServesAnnotatedFromRawUpstream(t *testing.T) {
 }
 
 // TestProxyRefusesRawMode: a proxy holds only the stream it annotated
-// itself, so a raw request gets a clean error instead of compensated
-// bytes — and a proxy chained behind another proxy fails cleanly rather
-// than compensating the stream twice.
+// itself, so it answers another proxy's "clip" fetch with a clean
+// not-found — a proxy chained behind another proxy fails cleanly rather
+// than compensating the stream twice. (A client request with the
+// reserved mode byte set is refused like any malformed request; see
+// TestOldRequestFramingsRefused.)
 func TestProxyRefusesRawMode(t *testing.T) {
 	_, upstream := startServer(t)
 	p1 := NewProxy(upstream)
@@ -180,16 +182,6 @@ func TestProxyRefusesRawMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(p1.Close)
-
-	resp := sessionBytes(t, addr1.String(), rqs4(255, ModeRaw, "night", "", 0, 0))
-	r := bytes.NewReader(resp)
-	_, remoteErr, err := ReadResponseMagic(r)
-	if err != nil || remoteErr == nil || !strings.Contains(remoteErr.Error(), "raw mode") {
-		t.Fatalf("raw request to a proxy: remote error %v, parse error %v; want a raw-mode refusal", remoteErr, err)
-	}
-	if r.Len() != 0 {
-		t.Fatalf("%d bytes followed the refusal", r.Len())
-	}
 
 	p2 := NewProxy(addr1.String())
 	p2.SetLogf(quiet)
@@ -201,8 +193,8 @@ func TestProxyRefusesRawMode(t *testing.T) {
 	t.Cleanup(p2.Close)
 	client := &Client{Device: display.IPAQ5555(), Retry: RetryPolicy{MaxAttempts: 1}}
 	res, err := client.Play(addr2.String(), "night", 0.10)
-	if err == nil || !strings.Contains(err.Error(), "raw mode") {
-		t.Fatalf("chained proxy: result %+v, err %v; want a raw-mode refusal", res, err)
+	if err == nil || !strings.Contains(err.Error(), `unknown clip "night"`) {
+		t.Fatalf("chained proxy: result %+v, err %v; want a clean not-found", res, err)
 	}
 }
 
@@ -356,15 +348,18 @@ func TestServerAnnotationCacheIsReused(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Second session must reuse the cached track (same pointer).
-	src := testCatalog()["night"]
-	first, err := srv.track(context.Background(), "night", src)
+	clip, err := srv.cat.lookup(context.Background(), "night")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := srv.track(context.Background(), clip)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Play(addr, "night", 0.2); err != nil {
 		t.Fatal(err)
 	}
-	second, err := srv.track(context.Background(), "night", src)
+	second, err := srv.track(context.Background(), clip)
 	if err != nil {
 		t.Fatal(err)
 	}

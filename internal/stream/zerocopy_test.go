@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/annotation"
+	"repro/internal/cluster"
 	"repro/internal/codec"
 	"repro/internal/container"
 	"repro/internal/core"
@@ -22,7 +23,7 @@ import (
 // byte-for-byte indistinguishable from the writer it replaced: header
 // via container.NewWriter, then one Writer.WriteFrame per packet. The
 // tests here pin that equivalence for every serving shape — fixed
-// quality, resume, device levels, adaptive markers, raw mode, store
+// quality, resume, device levels, adaptive markers, clip payloads, store
 // round trips and file-backed (sendfile) serving — and gate the alloc
 // and caching properties the fast path exists for.
 
@@ -34,7 +35,11 @@ func buildServingFixture(t testing.TB) (core.Source, *annotation.Track, *variant
 	src := cat["night"]
 	s := NewServer(cat)
 	s.SetLogf(quiet)
-	track, err := s.track(context.Background(), "night", src)
+	clip, err := s.cat.lookup(context.Background(), "night")
+	if err != nil {
+		t.Fatal(err)
+	}
+	track, err := s.track(context.Background(), clip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +221,8 @@ func TestSendAdaptiveMatchesReferenceWriter(t *testing.T) {
 	}
 }
 
-// rawReferenceBytes replicates streamRaw's pre-caching behaviour: a
-// bare header and a fresh encoder run over the clip.
+// rawReferenceBytes replicates the untouched stream's pre-caching
+// writer: a bare header and a fresh encoder run over the clip.
 func rawReferenceBytes(t *testing.T, src core.Source, cfg EncodeConfig) []byte {
 	t.Helper()
 	w, h := src.Size()
@@ -248,12 +253,12 @@ func countSpans(r *obs.Registry, name string) int {
 	return n
 }
 
-// TestStreamRawServedFromCache is the regression test for the raw-mode
-// re-encode bug: every ModeRaw fetch used to run a fresh encoder over
-// the whole clip. The encoded raw form is now an artifact-tier entry,
-// so a second fetch must add no encode spans (and no pipeline spans)
-// while returning byte-identical output — which also must match the
-// old writer's bytes exactly.
+// TestStreamRawServedFromCache is the regression test for the raw
+// re-encode bug: every fetch of the untouched clip used to run a fresh
+// encoder over the whole clip. The encoded raw form is an artifact-tier
+// entry, so a second "clip" fetch must add no encode spans (and no
+// pipeline spans) while returning byte-identical output — which also
+// must match the old writer's bytes exactly.
 func TestStreamRawServedFromCache(t *testing.T) {
 	cat := testCatalog()
 	src := cat["night"]
@@ -263,29 +268,30 @@ func TestStreamRawServedFromCache(t *testing.T) {
 	s.SetObserver(reg)
 	ctx := obs.WithRegistry(context.Background(), reg)
 
-	var first, second bytes.Buffer
-	if err := s.streamRaw(ctx, &first, "night", src); err != nil {
+	first, err := s.resolveFetchRequest(ctx, cluster.FetchRequest{Kind: "clip", Digest: "night", Quality: -1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	encodes := countSpans(reg, "stream.raw_encode")
 	if encodes == 0 {
-		t.Fatal("cold raw fetch recorded no encode span; span accounting broken")
+		t.Fatal("cold clip fetch recorded no encode span; span accounting broken")
 	}
-	if err := s.streamRaw(ctx, &second, "night", src); err != nil {
+	second, err := s.resolveFetchRequest(ctx, cluster.FetchRequest{Kind: "clip", Digest: "night", Quality: -1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if n := countSpans(reg, "stream.raw_encode"); n != encodes {
-		t.Errorf("second raw fetch re-encoded the clip: %d encode spans, want %d", n, encodes)
+		t.Errorf("second clip fetch re-encoded the clip: %d encode spans, want %d", n, encodes)
 	}
 	if n := countComputeSpans(reg); n != 0 {
-		t.Errorf("raw fetches ran the annotation pipeline: %d compute spans", n)
+		t.Errorf("clip fetches ran the annotation pipeline: %d compute spans", n)
 	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatal("cached raw fetch served different bytes")
+	if !bytes.Equal(first, second) {
+		t.Fatal("cached clip fetch served different bytes")
 	}
 	want := rawReferenceBytes(t, src, s.enc.withDefaults(src.FPS()))
-	if !bytes.Equal(first.Bytes(), want) {
-		t.Fatal("raw stream differs from the pre-caching writer's bytes")
+	if !bytes.Equal(first, want) {
+		t.Fatal("clip payload differs from the pre-caching writer's bytes")
 	}
 }
 
@@ -349,7 +355,7 @@ func TestSendVariantReportsBytesOnFailure(t *testing.T) {
 // TestWarmServeZeroAllocsPerFrame is the AllocsPerRun gate on the warm
 // path. sendWire — the only per-frame code on a warm hit, shared by
 // the server and proxy serve paths (sendVariant, sendAdaptive,
-// streamRaw) — must allocate nothing at all; everything sendVariant
+// clip payloads) — must allocate nothing at all; everything sendVariant
 // adds on top is per-session header work, so allocations cannot scale
 // with frame count.
 func TestWarmServeZeroAllocsPerFrame(t *testing.T) {
